@@ -49,7 +49,7 @@ bench-netv3:
 # intact. One process per row keeps the rows from perturbing each other
 # on small machines.
 bench-disk:
-	@for cfg in diskq-off diskq-d8 diskq-d32 diskq-d64 diskq-d128 diskq-d256; do \
+	@for cfg in diskq-d8 diskq-d32 diskq-d64 diskq-d128 diskq-d256; do \
 		for wl in 16 64; do \
 			BENCH_JSON=$(CURDIR)/BENCH_netv3.json $(GO) test -run '^$$' \
 				-bench "BenchmarkNetv3DiskQ/$$cfg/8192x$${wl}mixed\$$" \

@@ -6,9 +6,8 @@
 //	v3d -addr :9300 -size 256M                 # in-memory volume 1
 //	v3d -addr :9300 -file /data/vol.img -size 1G -cache 4096
 //	v3d -addr :9300 -cache 4096 -shards 32 -stats 10s
-//	v3d -addr :9300 -file /data/vol.img -size 1G -cache 4096 -workers 8
-//	v3d -addr :9300 -cache 4096 -workers 8 -nowritebehind -noprefetch
-//	v3d -addr :9300 -file /data/vol.img -size 1G -diskq -sqdepth 64
+//	v3d -addr :9300 -cache 4096 -nowritebehind -noprefetch
+//	v3d -addr :9300 -file /data/vol.img -size 1G -cache 4096 -sqdepth 128
 //	v3d -addr :9300 -schedworkers 8 -admitlimit 512 -maxstreams 10000
 //	v3d -addr :9300 -metrics :9400             # Prometheus text + JSON snapshot
 //	v3d -addr :9300 -metrics :9400 -pprof      # + /debug/pprof/ profiles
@@ -60,14 +59,12 @@ func main() {
 	shards := flag.Int("shards", 0, "cache shard count (0 = default, 1 = single lock)")
 	credits := flag.Int("credits", 64, "flow-control window per session")
 	noPool := flag.Bool("nopool", false, "disable buffer pooling (allocate per request)")
-	noBatch := flag.Bool("nobatch", false, "disable response batching (flush per response)")
-	workers := flag.Int("workers", 0, "disk worker goroutines per volume (0 = synchronous inline I/O)")
-	diskQ := flag.Bool("diskq", false, "batched submission/completion disk backend (io_uring on Linux file stores, goroutine pool otherwise); supersedes -workers for dispatch")
-	sqDepth := flag.Int("sqdepth", 0, "disk-queue submission depth with -diskq (0 = 64)")
+	noBatch := flag.Bool("nobatch", false, "disable the async completion writer (two direct writes per response)")
+	sqDepth := flag.Int("sqdepth", 0, "per-volume disk-queue submission depth (io_uring on Linux file stores, goroutine pool otherwise; 0 = 64)")
 	noWriteBehind := flag.Bool("nowritebehind", false, "disable write-behind destaging (ack after store write)")
 	noPrefetch := flag.Bool("noprefetch", false, "disable sequential read-ahead")
 	dirtyMax := flag.Int("dirtymax", 0, "dirty-block high-watermark before write-through fallback (0 = cache/2)")
-	schedWorkers := flag.Int("schedworkers", 0, "shared scheduler worker pool with QoS lanes and admission control (0 = off; supersedes -workers/-diskq for dispatch)")
+	schedWorkers := flag.Int("schedworkers", 0, "shared scheduler worker pool with QoS lanes and admission control (0 = GOMAXPROCS)")
 	admitLimit := flag.Int("admitlimit", 0, "foreground queue depth before admission control sheds (0 = schedworkers*256)")
 	maxStreams := flag.Int("maxstreams", 0, "logical streams allowed per connection (0 = 65535)")
 	stats := flag.Duration("stats", 0, "log served/cache/pool counters at this interval (0 = off)")
@@ -87,8 +84,6 @@ func main() {
 	cfg.CacheShards = *shards
 	cfg.NoPool = *noPool
 	cfg.NoBatch = *noBatch
-	cfg.DiskWorkers = *workers
-	cfg.DiskQ = *diskQ
 	cfg.SQDepth = *sqDepth
 	cfg.NoWriteBehind = *noWriteBehind
 	cfg.NoPrefetch = *noPrefetch
@@ -120,7 +115,9 @@ func main() {
 	} else {
 		store = netv3.NewMemStore(size)
 	}
-	srv.AddVolume(1, store)
+	if err := srv.AddVolume(1, store); err != nil {
+		log.Fatalf("v3d: %v", err)
+	}
 
 	bound, err := srv.Listen(*addr)
 	if err != nil {

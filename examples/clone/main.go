@@ -26,7 +26,9 @@ const blk = int64(8192)
 
 func startBackend(store netv3.BlockStore, addr string) (*netv3.Server, string) {
 	srv := netv3.NewServer(netv3.DefaultServerConfig())
-	srv.AddVolume(1, store)
+	if err := srv.AddVolume(1, store); err != nil {
+		log.Fatal(err)
+	}
 	a, err := srv.Listen(addr)
 	if err != nil {
 		log.Fatal(err)

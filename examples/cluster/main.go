@@ -26,7 +26,9 @@ const member = 8 << 20 // 8 MB per backend
 // port. Returning the server lets the walkthrough kill and restart it.
 func startBackend(store netv3.BlockStore, addr string) (*netv3.Server, string) {
 	srv := netv3.NewServer(netv3.DefaultServerConfig())
-	srv.AddVolume(1, store)
+	if err := srv.AddVolume(1, store); err != nil {
+		log.Fatal(err)
+	}
 	a, err := srv.Listen(addr)
 	if err != nil {
 		log.Fatal(err)

@@ -39,7 +39,9 @@ func main() {
 	// --- Part 2: real TCP session killed mid-stream; the client
 	// reconnects and replays. ---
 	srv := netv3.NewServer(netv3.DefaultServerConfig())
-	srv.AddVolume(1, netv3.NewMemStore(16<<20))
+	if err := srv.AddVolume(1, netv3.NewMemStore(16<<20)); err != nil {
+		log.Fatal(err)
+	}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

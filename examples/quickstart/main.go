@@ -17,7 +17,9 @@ func main() {
 	cfg := netv3.DefaultServerConfig()
 	cfg.CacheBlocks = 1024
 	srv := netv3.NewServer(cfg)
-	srv.AddVolume(1, netv3.NewMemStore(64<<20))
+	if err := srv.AddVolume(1, netv3.NewMemStore(64<<20)); err != nil {
+		log.Fatal(err)
+	}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -183,10 +183,9 @@ func BenchmarkNetv3Latency(b *testing.B) {
 //
 // The disk-* variants measure the pipelined disk path against a
 // file-backed store with an artificial per-I/O latency, so the toggles
-// (workers, write-behind, prefetch) move actual disk time, not just CPU:
-// disk-sync is the fully synchronous inline baseline, disk-workers adds
-// the worker pool, disk-writebehind adds destaging, disk-all is both.
-// The disk-seq pair isolates sequential read-ahead.
+// (write-behind, prefetch) move actual disk time, not just CPU:
+// disk-sync has neither, disk-writebehind adds destaging, disk-all adds
+// read-ahead too. The disk-seq pair isolates sequential read-ahead.
 func BenchmarkNetv3Ablation(b *testing.B) {
 	for _, ac := range ablations {
 		b.Run(ac.name, func(b *testing.B) {
@@ -215,8 +214,8 @@ func BenchmarkNetv3Ablation(b *testing.B) {
 		})
 	}
 	for _, dc := range []diskAblationConfig{
-		{name: "disk-seq-noprefetch", workers: 8, noWB: true, noPF: true},
-		{name: "disk-seq-prefetch", workers: 8, noWB: true},
+		{name: "disk-seq-noprefetch", noWB: true, noPF: true},
+		{name: "disk-seq-prefetch", noWB: true},
 	} {
 		b.Run(dc.name, func(b *testing.B) {
 			c := benchDiskPair(b, dc)
@@ -354,18 +353,15 @@ func (s *slowStore) WriteAt(b []byte, off int64) error {
 
 type diskAblationConfig struct {
 	name    string
-	workers int
 	noWB    bool
 	noPF    bool
-	diskq   bool
 	sqdepth int
 }
 
 var diskAblations = []diskAblationConfig{
-	{name: "disk-sync", workers: 0, noWB: true, noPF: true},
-	{name: "disk-workers", workers: 8, noWB: true, noPF: true},
-	{name: "disk-writebehind", workers: 0, noPF: true},
-	{name: "disk-all", workers: 8},
+	{name: "disk-sync", noWB: true, noPF: true},
+	{name: "disk-writebehind", noPF: true},
+	{name: "disk-all"},
 }
 
 // diskBenchRegion is the working set of the disk-path benchmarks: 32 MB,
@@ -380,10 +376,8 @@ func benchDiskPair(b *testing.B, dc diskAblationConfig) *Client {
 	b.Helper()
 	cfg := DefaultServerConfig()
 	cfg.CacheBlocks = 1024
-	cfg.DiskWorkers = dc.workers
 	cfg.NoWriteBehind = dc.noWB
 	cfg.NoPrefetch = dc.noPF
-	cfg.DiskQ = dc.diskq
 	cfg.SQDepth = dc.sqdepth
 	cfg.DestageInterval = 2 * time.Millisecond
 	fs, err := NewFileStore(filepath.Join(b.TempDir(), "vol.img"), diskBenchRegion)
@@ -460,29 +454,22 @@ func pipelineMixed(b *testing.B, c *Client, size, outstanding int) time.Duration
 	return elapsed
 }
 
-// BenchmarkNetv3DiskQ is the batched-disk-backend ablation: the mixed
-// pipelined workload over the slow store, with the classic worker pipe
-// (diskq-off, the PR-5 disk-all configuration) against the SQ/CQ disk
-// queue at several submission depths, at two client pipeline depths.
-// The sweep is the disk-path analogue of the paper's
-// outstanding-descriptor scaling: the worker pool saturates at its
-// thread count no matter how deep the client pipelines (and its
-// destager pays one synchronous store write per run), while the queue
-// rides the submission depth — demand reads fan out to SQ width,
-// destage runs and orphan drains go down as one concurrent vectored
-// batch per pass, and the prefetcher's strided read-ahead windows ride
-// the same ring. Depths past the client's pipeline keep paying off:
-// speculative and write-back I/O overlaps demand misses instead of
-// queuing behind them.
+// BenchmarkNetv3DiskQ sweeps the disk queue's submission depth under the
+// mixed pipelined workload over the slow store, at two client pipeline
+// depths — the disk-path analogue of the paper's outstanding-descriptor
+// scaling. Destage runs and orphan drains go down as one concurrent
+// vectored batch per pass, and the prefetcher's strided read-ahead
+// windows (armed only at depth >= 2*maxPrefetchBlocks) ride the same
+// ring, so deeper queues let write-back and speculative I/O overlap the
+// demand misses the scheduler workers serve.
 func BenchmarkNetv3DiskQ(b *testing.B) {
 	for _, outstanding := range []int{16, 64} {
 		for _, dc := range []diskAblationConfig{
-			{name: "diskq-off", workers: 8},
-			{name: "diskq-d8", diskq: true, sqdepth: 8},
-			{name: "diskq-d32", diskq: true, sqdepth: 32},
-			{name: "diskq-d64", diskq: true, sqdepth: 64},
-			{name: "diskq-d128", diskq: true, sqdepth: 128},
-			{name: "diskq-d256", diskq: true, sqdepth: 256},
+			{name: "diskq-d8", sqdepth: 8},
+			{name: "diskq-d32", sqdepth: 32},
+			{name: "diskq-d64", sqdepth: 64},
+			{name: "diskq-d128", sqdepth: 128},
+			{name: "diskq-d256", sqdepth: 256},
 		} {
 			name := fmt.Sprintf("%s/8192x%dmixed", dc.name, outstanding)
 			b.Run(name, func(b *testing.B) {
@@ -499,48 +486,61 @@ func BenchmarkNetv3DiskQ(b *testing.B) {
 	}
 }
 
-// BenchmarkNetv3ServerReadPath isolates the server-side read path —
-// frame decode, dispatch, cache lookup, response framing — without the
-// client or the socket, for a precise allocation account. "all-on" runs
-// the batched inline path (reused decode struct, pooled body, reused
-// response, scratch frame); "all-off" runs the seed's path (fresh
-// Unmarshal, make([]byte) body, fresh response, Marshal frame).
+// BenchmarkNetv3ServerReadPath isolates the server-side cache-hit read
+// path — frame decode, dispatch, cache lookup, response framing onto the
+// session's respWriter — without the client or the socket, for a precise
+// allocation account. "all-on" runs the production path (reused decode
+// struct, pooled body, reused response, scratch frame, async completion
+// queue); "all-off" runs the seed's costs (fresh Unmarshal, make([]byte)
+// body, Marshal frame, two direct writes per response).
 func BenchmarkNetv3ServerReadPath(b *testing.B) {
 	for _, ac := range []ablationConfig{ablations[0], ablations[len(ablations)-1]} {
 		b.Run(ac.name, func(b *testing.B) {
+			const blocks = 4096
 			cfg := DefaultServerConfig()
-			cfg.CacheBlocks = 4096
+			cfg.CacheBlocks = blocks
 			cfg.CacheShards = ac.shards
 			cfg.NoPool = ac.noPool
 			cfg.NoBatch = ac.noBatch
+			cfg.NoPrefetch = true // measure the hit path, not read-ahead
 			s := NewServer(cfg)
-			s.AddVolume(1, NewMemStore(64<<20))
-			w := newRespWriter(io.Discard, ac.noBatch, ac.noPool)
+			defer s.Close()
+			if err := s.AddVolume(1, NewMemStore(64<<20)); err != nil {
+				b.Fatal(err)
+			}
+			v := s.lookup(1)
+			warm := make([]byte, 8192)
+			for blk := int64(0); blk < blocks; blk++ {
+				if err := v.cachedRead(warm, blk*8192); err != nil {
+					b.Fatal(err)
+				}
+			}
+			w := newRespWriter(io.Discard, ac.noPool)
+			if !ac.noBatch {
+				w.startAsync(func() {})
+				defer w.stopAsync()
+			}
+			ss := s.newSession(nil)
 			req := &wire.Read{Header: wire.Header{Seq: 1}, ReqID: 1, Volume: 1, Length: 8192}
 			frame := wire.Marshal(req)
-			inline := !ac.noBatch
 			var m wire.Read
 			var ms1, ms2 runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&ms1)
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
-				off := uint64(n%4096) * 8192
-				if inline {
-					if err := wire.UnmarshalInto(frame, &m); err != nil {
-						b.Fatal(err)
-					}
-					m.Offset = off
-					s.handleRead(&m, w, respInline, 0)
-				} else {
+				r := &m
+				if ac.noPool {
 					mi, err := wire.Unmarshal(frame)
 					if err != nil {
 						b.Fatal(err)
 					}
-					r := mi.(*wire.Read)
-					r.Offset = off
-					s.handleRead(r, w, respGo, 0)
+					r = mi.(*wire.Read)
+				} else if err := wire.UnmarshalInto(frame, r); err != nil {
+					b.Fatal(err)
 				}
+				r.Offset = uint64(n%blocks) * 8192
+				s.dispatchRead(r, w, ss, 0)
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&ms2)

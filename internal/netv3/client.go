@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"os"
 	"sync"
@@ -326,6 +327,11 @@ type Client struct {
 	traceCtr  atomic.Uint64 // submit counter driving 1-in-traceSample tracing
 	traceBase uint64        // per-client trace-id salt (wall-clock at Dial)
 
+	// id is sent as Connect.ClientID on every dial under FeatureFence:
+	// random, so it is unique to this client, and kept across reconnects
+	// so the server can fence a new session against the one it replaces.
+	id uint64
+
 	// Keepalive state. lastRecv is the obs.Now() stamp of the last
 	// inbound frame; kaArmed is set while a ping is outstanding with a
 	// read deadline armed on the connection (the reader clears both on
@@ -362,6 +368,7 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 		start:       time.Now(),
 		om:          newClientObs(cfg.Metrics),
 		traceBase:   uint64(time.Now().UnixNano()),
+		id:          rand.Uint64(),
 	}
 	conn, resp, err := c.dialSession()
 	if err != nil {
@@ -383,12 +390,12 @@ func (c *Client) dialSession() (net.Conn, *wire.ConnectResp, error) {
 		return nil, nil, err
 	}
 	_ = conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
-	feats := wire.FeatureStreams | wire.FeatureTrace
+	feats := wire.FeatureStreams | wire.FeatureTrace | wire.FeatureFence
 	if c.cfg.NoTrace {
 		feats &^= wire.FeatureTrace
 	}
 	if err := wire.WriteTo(conn, &wire.Connect{
-		ClientID: 1, WantCreds: uint16(c.cfg.WantCredits),
+		ClientID: c.id, WantCreds: uint16(c.cfg.WantCredits),
 		Features: feats,
 	}); err != nil {
 		conn.Close()
@@ -969,7 +976,7 @@ func (c *Client) reader(conn net.Conn, gen int) {
 			}
 			if err != nil { // stream died mid-payload
 				if p != nil {
-					c.unclaim(p)
+					c.unclaim(p, gen)
 				}
 				fail(err)
 				return
@@ -1025,8 +1032,11 @@ func (c *Client) reader(conn net.Conn, gen int) {
 
 // unclaim returns a claimed-but-undelivered request to the pending set
 // (the stream died mid-payload) so reconnection replays it — or fails it
-// with ErrClosed when the client is already gone.
-func (c *Client) unclaim(p *Pending) {
+// with ErrClosed when the client is already gone. gen is the connection
+// the response arrived on. If a reconnect already replaced it and
+// finished its replay, the request missed that replay — it was claimed
+// at the time — so it is sent on the new connection here instead.
+func (c *Client) unclaim(p *Pending, gen int) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -1035,7 +1045,15 @@ func (c *Client) unclaim(p *Pending) {
 	}
 	c.pending[p.seq] = p
 	c.tracker.Track(p.seq, time.Since(c.start))
+	var err error
+	if gen != c.genID && !c.recovering {
+		c.retries.Add(1)
+		err = c.send(c.genID, p, p.msg, p.body)
+	}
 	c.mu.Unlock()
+	if err != nil {
+		c.connectionBroken()
+	}
 }
 
 func (c *Client) complete(seq uint64, err error, sp wire.SrvSpan) {

@@ -11,13 +11,13 @@ import (
 	"time"
 )
 
-// diskCfg is a server config with the full pipelined disk path enabled
-// and background destaging effectively disabled (hour-long interval), so
-// tests control destage timing through Flush and the high-watermark.
+// diskCfg is a server config with the cache (and so write-behind and
+// prefetch) enabled and background destaging effectively disabled
+// (hour-long interval), so tests control destage timing through Flush
+// and the high-watermark.
 func diskCfg() ServerConfig {
 	cfg := DefaultServerConfig()
 	cfg.CacheBlocks = 256
-	cfg.DiskWorkers = 4
 	cfg.DestageInterval = time.Hour
 	return cfg
 }
@@ -40,8 +40,8 @@ func startFileServer(t *testing.T, cfg ServerConfig, path string, size int64) (*
 }
 
 // TestDiskPathConcurrentMixed runs concurrent readers, writers, and
-// flushers against a file-backed volume with workers, write-behind, and
-// prefetch all enabled, and checks every byte that comes back.
+// flushers against a file-backed volume with write-behind and prefetch
+// enabled, and checks every byte that comes back.
 func TestDiskPathConcurrentMixed(t *testing.T) {
 	cfg := diskCfg()
 	cfg.DestageInterval = time.Millisecond // let the destager race the I/O
@@ -312,7 +312,6 @@ func TestDirtyHighWaterFallsBackToWriteThrough(t *testing.T) {
 func TestPrefetchSequentialStream(t *testing.T) {
 	cfg := DefaultServerConfig()
 	cfg.CacheBlocks = 512
-	cfg.DiskWorkers = 4
 	srv, addr := startServer(t, cfg, 4<<20)
 	c, err := Dial(addr, DefaultClientConfig())
 	if err != nil {

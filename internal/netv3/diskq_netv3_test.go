@@ -13,12 +13,10 @@ import (
 	"github.com/v3storage/v3/internal/faultnet"
 )
 
-// diskQCfg is diskCfg with the batched submission/completion disk
-// backend in place of the worker pool.
+// diskQCfg is diskCfg with a shallower disk queue than the default.
 func diskQCfg() ServerConfig {
 	cfg := DefaultServerConfig()
 	cfg.CacheBlocks = 256
-	cfg.DiskQ = true
 	cfg.SQDepth = 32
 	cfg.DestageInterval = time.Hour
 	return cfg
@@ -60,7 +58,7 @@ func TestCheckStoreRangeOverflow(t *testing.T) {
 }
 
 // TestDiskQMaliciousOffset drives hostile extents through the wire
-// protocol against a disk-queue server: a read at an offset chosen to
+// protocol against a cached server: a read at an offset chosen to
 // wrap the range check must come back as a clean error — not a server
 // panic — and the session must remain fully usable afterwards.
 func TestDiskQMaliciousOffset(t *testing.T) {
@@ -92,44 +90,59 @@ func TestDiskQMaliciousOffset(t *testing.T) {
 	}
 }
 
-// TestDiskQWriteThroughRoundtrip runs the cache-less configuration where
-// every read and write rides the queue end to end (MemStore, so the
-// portable backend via the adapter), and checks both the data and that
-// the queue actually carried it.
+// TestDiskQWriteThroughRoundtrip runs the write-through configurations —
+// no cache, and a cache with NoWriteBehind — where every write reaches
+// the store before it is acknowledged and Flush's fsync rides the disk
+// queue (MemStore, so the portable backend via the adapter), and checks
+// the data end to end.
 func TestDiskQWriteThroughRoundtrip(t *testing.T) {
-	cfg := DefaultServerConfig()
-	cfg.DiskQ = true
-	cfg.SQDepth = 16
-	srv, addr := startServer(t, cfg, 4<<20)
-	c, err := Dial(addr, DefaultClientConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	const blocks = 64
-	for i := 0; i < blocks; i++ {
-		if err := c.Write(1, int64(i)*8192, bytes.Repeat([]byte{byte(i + 1)}, 8192)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Flush(1); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 8192)
-	for i := 0; i < blocks; i++ {
-		if err := c.Read(1, int64(i)*8192, got); err != nil {
-			t.Fatal(err)
-		}
-		if got[0] != byte(i+1) || got[8191] != byte(i+1) {
-			t.Fatalf("block %d wrong after queue roundtrip", i)
-		}
-	}
-	d := srv.DiskStats()
-	if d.DiskQWrites == 0 {
-		t.Fatalf("no writes went through the disk queue: %+v", d)
-	}
-	if d.DiskQReads == 0 {
-		t.Fatalf("no reads went through the disk queue: %+v", d)
+	for _, tc := range []struct {
+		name string
+		mut  func(*ServerConfig)
+	}{
+		{"uncached", func(*ServerConfig) {}},
+		{"cached-nowritebehind", func(c *ServerConfig) { c.CacheBlocks = 64; c.NoWriteBehind = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultServerConfig()
+			cfg.SQDepth = 16
+			tc.mut(&cfg)
+			srv, addr := startServer(t, cfg, 4<<20)
+			c, err := Dial(addr, DefaultClientConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			const blocks = 64
+			got := make([]byte, 8192)
+			for i := 0; i < blocks; i++ {
+				if err := c.Write(1, int64(i)*8192, bytes.Repeat([]byte{byte(i + 1)}, 8192)); err != nil {
+					t.Fatal(err)
+				}
+				// Read back before the Flush: write-through bytes are visible
+				// (and any resident block updated) as soon as the write is acked.
+				if err := c.Read(1, int64(i)*8192, got); err != nil {
+					t.Fatal(err)
+				}
+				if got[0] != byte(i+1) {
+					t.Fatalf("block %d not visible after its write-through ack", i)
+				}
+			}
+			if err := c.Flush(1); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < blocks; i++ {
+				if err := c.Read(1, int64(i)*8192, got); err != nil {
+					t.Fatal(err)
+				}
+				if got[0] != byte(i+1) || got[8191] != byte(i+1) {
+					t.Fatalf("block %d wrong after queue roundtrip", i)
+				}
+			}
+			if d := srv.DiskStats(); d.DirtyBlocks != 0 || d.DestageRuns != 0 {
+				t.Fatalf("write-through config produced write-behind state: %+v", d)
+			}
+		})
 	}
 }
 
@@ -259,7 +272,6 @@ func TestDiskQCrashConsistency(t *testing.T) {
 func TestDiskQPrefetchStream(t *testing.T) {
 	cfg := DefaultServerConfig()
 	cfg.CacheBlocks = 512
-	cfg.DiskQ = true
 	srv, addr := startServer(t, cfg, 4<<20)
 	c, err := Dial(addr, DefaultClientConfig())
 	if err != nil {
@@ -282,8 +294,8 @@ func TestDiskQPrefetchStream(t *testing.T) {
 	if d.PrefetchHits == 0 {
 		t.Fatal("prefetched blocks were never hit under diskq")
 	}
-	t.Logf("diskq prefetch fills=%d hits=%d batches=%d reads=%d",
-		d.PrefetchFills, d.PrefetchHits, d.DiskQBatches, d.DiskQReads)
+	t.Logf("diskq prefetch fills=%d hits=%d batches=%d",
+		d.PrefetchFills, d.PrefetchHits, d.DiskQBatches)
 }
 
 // TestDiskQStoreFaults wires a faultnet store fault injector under the
@@ -295,7 +307,6 @@ func TestDiskQStoreFaults(t *testing.T) {
 	inner := NewMemStore(2 << 20)
 	flaky := faultnet.NewStore(inner, faultnet.StoreConfig{ErrEvery: 7, ShortEvery: 11})
 	cfg := DefaultServerConfig()
-	cfg.DiskQ = true
 	cfg.SQDepth = 8
 	srv := NewServer(cfg)
 	srv.AddVolume(1, flaky)
@@ -441,7 +452,6 @@ func TestDiskQDifferentialBackends(t *testing.T) {
 func TestDiskQChaosPartition(t *testing.T) {
 	scfg := DefaultServerConfig()
 	scfg.CacheBlocks = 512
-	scfg.DiskQ = true
 	f, addr := startFaultServer(t, scfg, 4<<20)
 	cfg := DefaultClientConfig()
 	cfg.KeepaliveInterval = 200 * time.Millisecond
@@ -504,9 +514,7 @@ func TestDiskQChaosPartition(t *testing.T) {
 func TestDiskQFlushSurfacesSyncError(t *testing.T) {
 	inner := NewMemStore(1 << 20)
 	flaky := faultnet.NewStore(inner, faultnet.StoreConfig{})
-	cfg := DefaultServerConfig()
-	cfg.DiskQ = true
-	srv := NewServer(cfg)
+	srv := NewServer(DefaultServerConfig())
 	srv.AddVolume(1, flaky)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

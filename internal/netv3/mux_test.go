@@ -129,40 +129,6 @@ func TestStreamsBasicIO(t *testing.T) {
 	}
 }
 
-// TestStreamsOnClassicServer checks that the stream layer works without
-// the shared scheduler: the registry and credit grants live in the session
-// loop, so classic dispatch (and its disk pipeline) serve stream traffic
-// unchanged.
-func TestStreamsOnClassicServer(t *testing.T) {
-	cfg := DefaultServerConfig()
-	cfg.CacheBlocks = 128
-	cfg.DiskWorkers = 2
-	_, addr := startServer(t, cfg, 4<<20)
-	c, err := Dial(addr, DefaultClientConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	st, err := c.OpenStream(StreamConfig{Credits: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte{0x5a}, 32<<10)
-	if err := st.Write(1, 128<<10, payload); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(payload))
-	if err := st.Read(1, 128<<10, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("data mismatch over stream on classic server")
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestStreamsUnsupportedPeer pins the fallback contract: against a server
 // that negotiates no features (an old binary, simulated by a minimal
 // handshake that echoes zero feature bits), the client connects and runs

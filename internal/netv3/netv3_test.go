@@ -3,10 +3,14 @@ package netv3
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/v3storage/v3/internal/wire"
 )
 
 func startServer(t *testing.T, cfg ServerConfig, volSize int64) (*Server, string) {
@@ -373,5 +377,120 @@ func TestMemStoreBounds(t *testing.T) {
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDefaultConfigIsBenchmarkedShape pins the one dispatch shape: the
+// default config runs the shared scheduler at GOMAXPROCS workers, and a
+// cached volume's destage passes ride its disk queue as vectored
+// batches. A second shape hidden behind a default cannot come back
+// without failing here.
+func TestDefaultConfigIsBenchmarkedShape(t *testing.T) {
+	srv := NewServer(DefaultServerConfig())
+	if got, want := srv.SchedStats().Workers, runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("default scheduler workers = %d, want GOMAXPROCS = %d", got, want)
+	}
+	srv.Close()
+
+	cfg := DefaultServerConfig()
+	cfg.CacheBlocks = 256
+	cfg.DestageInterval = time.Hour // only Flush destages
+	srv, addr := startServer(t, cfg, 4<<20)
+	c, err := Dial(addr, DefaultClientConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// 1 MB of contiguous writes is 128 dirty blocks: two maximal destage
+	// runs, which the Flush pass submits as one vectored batch.
+	data := bytes.Repeat([]byte{0x3C}, 64<<10)
+	for off := int64(0); off < 1<<20; off += int64(len(data)) {
+		if err := c.Write(1, off, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(1); err != nil {
+		t.Fatal(err)
+	}
+	if d := srv.DiskStats(); d.DiskQBatches == 0 {
+		t.Fatalf("destage on the default shape issued no disk-queue batches: %+v", d)
+	}
+}
+
+// gatedStore blocks every WriteAt until the test releases it, announcing
+// each arrival on entered.
+type gatedStore struct {
+	BlockStore
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedStore) WriteAt(b []byte, off int64) error {
+	g.entered <- struct{}{}
+	<-g.release
+	return g.BlockStore.WriteAt(b, off)
+}
+
+// TestReconnectFencesOldSession is the regression test for a replayed
+// write being overtaken by its own stale copy. A client whose connection
+// drops replays its unanswered requests on a new session, but the old
+// session may still hold them — queued on the scheduler, or blocked in
+// the store. If the new session answered the replay and the client then
+// wrote the same block again, the old copy could land last and undo the
+// newer write. Under FeatureFence the server holds the new session's
+// handshake until the old session's requests have finished.
+func TestReconnectFencesOldSession(t *testing.T) {
+	gs := &gatedStore{BlockStore: NewMemStore(1 << 20),
+		entered: make(chan struct{}, 1), release: make(chan struct{})}
+	srv := NewServer(DefaultServerConfig())
+	srv.AddVolume(1, gs)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	t.Cleanup(func() { srv.Close() })
+
+	const clientID = 42
+	dial := func() net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		if err := wire.WriteTo(conn, &wire.Connect{ClientID: clientID, Features: wire.FeatureFence}); err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+	old := dial()
+	if _, err := wire.ReadFrom(old); err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Repeat([]byte{0x11}, 8192)
+	if err := wire.WriteTo(old, &wire.Write{Header: wire.Header{Seq: 1}, ReqID: 1,
+		Volume: 1, Length: uint32(len(body))}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := old.Write(body); err != nil {
+		t.Fatal(err)
+	}
+	<-gs.entered // the old session's write is now stuck in the store
+
+	// The same client redials. Its handshake must wait out the old write.
+	next := dial()
+	_ = next.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	if m, err := wire.ReadFrom(next); err == nil {
+		t.Fatalf("new session answered %v while the old session's write was in flight", wire.TypeOf(m))
+	}
+	close(gs.release)
+	_ = next.SetReadDeadline(time.Now().Add(5 * time.Second))
+	m, err := wire.ReadFrom(next)
+	if err != nil {
+		t.Fatalf("new session handshake after the old write finished: %v", err)
+	}
+	if r, ok := m.(*wire.ConnectResp); !ok || r.Status != wire.StatusOK || r.Features&wire.FeatureFence == 0 {
+		t.Fatalf("handshake reply %+v, want an OK ConnectResp with FeatureFence", m)
 	}
 }

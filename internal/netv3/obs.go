@@ -197,6 +197,14 @@ func (co *clientObs) noteKeepaliveRTT(ns int64) {
 // pre-trace server answers all-zero spans, which lands the whole
 // interval in the residual — the merged table tiles either way.
 func (co *clientObs) recordTrace(t0, t1, t2, t3, t4, t5 int64, sp wire.SrvSpan) {
+	// t2 is the only stamp taken on a different goroutine from its
+	// neighbour: the submitter stamps it after its socket write returns,
+	// the reader stamps t3 on the response. A submitter preempted between
+	// the two can stamp t2 after the response already arrived; clamped
+	// separately, the wire and server+net stages would then overlap and
+	// sum to more than the lifetime they tile. The write certainly
+	// returned no later than its response arrived.
+	t2 = min(t2, t3)
 	co.stages[stSubmit].Observe(maxNS(t1 - t0))
 	co.stages[stWire].Observe(maxNS(t2 - t1))
 	co.stages[stServer].Observe(maxNS(t3 - t2))
@@ -223,16 +231,10 @@ func maxNS(ns int64) int64 {
 // its existing counters; nil when no registry is configured.
 type serverObs struct {
 	// dispatch is the session loop's inline handling time per request:
-	// decode → response buffered (or task queued) — the server half of
-	// the paper's "server processing" column that the client can only see
-	// folded into its server+net stage.
+	// decode → response queued (or task handed to the scheduler) — the
+	// server half of the paper's "server processing" column that the
+	// client can only see folded into its server+net stage.
 	dispatch *obs.Hist
-	// queueWait is a disk task's time between session-loop enqueue and
-	// worker pickup — the disk-pipeline backlog signal.
-	queueWait *obs.Hist
-	// diskRead/diskWrite are store I/O service times inside the workers.
-	diskRead  *obs.Hist
-	diskWrite *obs.Hist
 	// destageRun is one background destage pass; flushDur one wire-level
 	// Flush barrier; prefetchFill one read-ahead fill.
 	destageRun   *obs.Hist
@@ -255,9 +257,6 @@ func newServerObs(r *obs.Registry, s *Server) *serverObs {
 	}
 	so := &serverObs{
 		dispatch:     r.Hist("netv3_srv_dispatch_ns"),
-		queueWait:    r.Hist("netv3_srv_disk_queue_wait_ns"),
-		diskRead:     r.Hist("netv3_srv_disk_read_ns"),
-		diskWrite:    r.Hist("netv3_srv_disk_write_ns"),
 		destageRun:   r.Hist("netv3_srv_destage_run_ns"),
 		flushDur:     r.Hist("netv3_srv_flush_ns"),
 		prefetchFill: r.Hist("netv3_srv_prefetch_fill_ns"),
@@ -306,24 +305,18 @@ func newServerObs(r *obs.Registry, s *Server) *serverObs {
 	r.GaugeFunc("netv3_srv_prefetch_fills_total", func() int64 { return s.DiskStats().PrefetchFills })
 	r.GaugeFunc("netv3_srv_prefetch_hits_total", func() int64 { return s.DiskStats().PrefetchHits })
 	r.GaugeFunc("netv3_srv_prefetch_dropped_total", func() int64 { return s.DiskStats().PrefetchDropped })
-	r.GaugeFunc("netv3_srv_inline_fallbacks_total", func() int64 { return s.DiskStats().InlineFallbacks })
-	// Disk-queue (DiskQ) exports. The in-flight gauge reads the live
-	// SQ depth across volumes; the counters mirror DiskStats. The queue's
-	// own histograms (submit/reap batch sizes, queue-wait vs device time)
+	// Disk-queue exports. The in-flight gauge reads the live SQ depth
+	// across volumes; the counters mirror DiskStats. The queue's own
+	// histograms (submit/reap batch sizes, queue-wait vs device time)
 	// register themselves on the same registry via diskq.Config.Metrics.
 	r.GaugeFunc("netv3_srv_diskq_inflight", func() int64 {
 		var n int64
 		for _, v := range *s.volumes.Load() {
-			if v.dq != nil {
-				n += int64(v.dq.q.InFlight())
-			}
+			n += int64(v.dq.q.InFlight())
 		}
 		return n
 	})
-	r.GaugeFunc("netv3_srv_diskq_reads_total", func() int64 { return s.DiskStats().DiskQReads })
-	r.GaugeFunc("netv3_srv_diskq_writes_total", func() int64 { return s.DiskStats().DiskQWrites })
 	r.GaugeFunc("netv3_srv_diskq_batches_total", func() int64 { return s.DiskStats().DiskQBatches })
 	r.GaugeFunc("netv3_srv_diskq_fallbacks_total", func() int64 { return s.DiskStats().DiskQFallbacks })
-	r.GaugeFunc("netv3_srv_diskq_retries_total", func() int64 { return s.DiskStats().DiskQRetries })
 	return so
 }

@@ -24,7 +24,6 @@ import (
 func TestBreakdownSums(t *testing.T) {
 	scfg := DefaultServerConfig()
 	scfg.CacheBlocks = 256
-	scfg.DiskWorkers = 2
 	_, addr := startServer(t, scfg, 4<<20)
 	reg := obs.New()
 	ccfg := DefaultClientConfig()
@@ -93,7 +92,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	sreg := obs.New()
 	scfg := DefaultServerConfig()
 	scfg.CacheBlocks = 256
-	scfg.DiskWorkers = 2
 	scfg.Metrics = sreg
 	_, addr := startServer(t, scfg, 4<<20)
 	creg := obs.New()

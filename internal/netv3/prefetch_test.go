@@ -99,13 +99,38 @@ func TestPrefetcherStridedStream(t *testing.T) {
 func TestPrefetcherStrideGate(t *testing.T) {
 	var p prefetcher
 	const stride = 3 * cacheBlockSize
-	// Identical access pattern, strideOK=false (shallow or absent disk
-	// queue): scatter read-ahead must never arm.
+	// Identical access pattern, strideOK=false (shallow disk queue):
+	// scatter read-ahead must never arm.
 	for i := int64(0); i < 12; i++ {
 		if _, _, ok := p.observe(1, i*stride, cacheBlockSize, false); ok {
 			t.Fatalf("strided window armed at read %d with strideOK=false", i)
 		}
 	}
+}
+
+// queuedVolume wraps store and c in a volume with its own disk queue, so
+// cache tests can drive the production prefetch fill.
+func queuedVolume(t *testing.T, store BlockStore, c *blockCache) *volume {
+	t.Helper()
+	s := NewServer(DefaultServerConfig())
+	t.Cleanup(func() { s.Close() })
+	v := &volume{store: store, cache: c}
+	dq, err := newDiskQueue(s, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(dq.close)
+	v.dq = dq
+	return v
+}
+
+// blockRange returns the block numbers [start, start+n).
+func blockRange(start uint64, n int) []uint64 {
+	blks := make([]uint64, n)
+	for i := range blks {
+		blks[i] = start + uint64(i)
+	}
+	return blks
 }
 
 // Residency accounting: installs charge prefResident, consumption and
@@ -121,9 +146,9 @@ func TestPrefetchDiscardAccounting(t *testing.T) {
 		}
 	}
 	c := newBlockCache(64, 4, pool)
-	v := &volume{store: store, cache: c}
+	v := queuedVolume(t, store, c)
 
-	if err := c.prefetchFill(v, 0, 8); err != nil {
+	if err := newPrefetchWorker(v).fillBatched(blockRange(0, 8)); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.prefResident.Load(); got != 8 {
@@ -190,7 +215,7 @@ func TestDirtyShardRefusesInstalls(t *testing.T) {
 	store := NewMemStore(256 * cacheBlockSize)
 	// One shard, four slots: easy to fill wall-to-wall with dirty blocks.
 	c := newBlockCache(4, 1, pool)
-	v := &volume{store: store, cache: c}
+	v := queuedVolume(t, store, c)
 
 	pattern := func(b byte) []byte { return bytes.Repeat([]byte{b}, cacheBlockSize) }
 	for blk := uint64(0); blk < 4; blk++ {
@@ -229,7 +254,7 @@ func TestDirtyShardRefusesInstalls(t *testing.T) {
 	}
 
 	// Prefetch over the full shard is refused, not forced.
-	if err := c.prefetchFill(v, 30, 4); err != nil {
+	if err := newPrefetchWorker(v).fillBatched(blockRange(30, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.prefResident.Load(); got != 0 {

@@ -10,8 +10,10 @@ import (
 // This file is the server's shared request scheduler — the dispatch model
 // behind session multiplexing. The paper's server (Section 4) multiplexes
 // many database sessions onto a small set of VIs and a fixed worker pool;
-// the TCP analogue here replaces per-session dispatch with one bounded
-// pool draining per-tenant weighted queues in two QoS lanes:
+// the TCP analogue here runs every request the session loops cannot
+// answer inline (cache misses, uncached I/O, over-watermark writes,
+// flushes) on one bounded pool draining per-tenant weighted queues in
+// two QoS lanes:
 //
 //   - foreground: client reads, writes, and flushes — the latency-sensitive
 //     traffic whose p99 must stay flat as logical sessions scale to 10k+.
@@ -67,7 +69,8 @@ func tenantKey(sess uint64, stream uint32) uint64 {
 // schedTask is one unit of deferred work.
 type schedTask struct {
 	run func()
-	enq int64 // obs.Now at enqueue; zero when metrics are off
+	wg  *sync.WaitGroup // marked Done after run; nil when nobody waits
+	enq int64           // obs.Now at enqueue; zero when metrics are off
 }
 
 // tenantQ is one tenant's FIFO within a lane. head indexes the next task
@@ -154,8 +157,7 @@ func (l *laneQ) removeAt(i int) {
 	}
 }
 
-// sched is the shared scheduler instance; one per server when
-// SchedWorkers > 0.
+// sched is the shared scheduler instance; one per server.
 type sched struct {
 	s       *Server
 	workers int
@@ -197,8 +199,9 @@ func newSched(s *Server, workers, limit int) *sched {
 // foreground backlog for the retry hint) or the scheduler is closed
 // (queued == 0) and the caller must run the work itself or fail the
 // request. Background enqueues are never shed — their depth is bounded by
-// their producers (client credits, one destage pass at a time).
-func (sc *sched) tryEnqueue(key uint64, weight int, bg bool, run func()) (ok bool, queued int) {
+// their producers (client credits, one destage pass at a time). A
+// non-nil wg counts the task from acceptance until run returns.
+func (sc *sched) tryEnqueue(key uint64, weight int, bg bool, wg *sync.WaitGroup, run func()) (ok bool, queued int) {
 	var enq int64
 	if sc.s.om != nil {
 		enq = obs.Now()
@@ -217,7 +220,10 @@ func (sc *sched) tryEnqueue(key uint64, weight int, bg bool, run func()) (ok boo
 		sc.shed.Add(1)
 		return false, n
 	}
-	l.enqueue(key, weight, schedTask{run: run, enq: enq})
+	if wg != nil {
+		wg.Add(1)
+	}
+	l.enqueue(key, weight, schedTask{run: run, wg: wg, enq: enq})
 	sc.mu.Unlock()
 	sc.cond.Signal()
 	return true, 0
@@ -276,6 +282,9 @@ func (sc *sched) worker() {
 			}
 		}
 		t.run()
+		if t.wg != nil {
+			t.wg.Done()
+		}
 		if fromBG {
 			sc.mu.Lock()
 			sc.bgRunning--
@@ -297,8 +306,9 @@ func (sc *sched) close() {
 	sc.wg.Wait()
 }
 
-// SchedStats is a snapshot of the shared scheduler; zero when the
-// scheduler is disabled.
+// SchedStats is a snapshot of the shared scheduler. Workers is the pool
+// size the server runs with: ServerConfig.SchedWorkers, or GOMAXPROCS
+// when that is 0.
 type SchedStats struct {
 	Workers     int
 	FGQueued    int   // foreground tasks waiting
@@ -311,12 +321,9 @@ type SchedStats struct {
 	StrideFires int64 // anti-starvation pops (bg taken while fg was pending)
 }
 
-// SchedStats returns scheduler counters (zero value when SchedWorkers is 0).
+// SchedStats returns scheduler counters.
 func (s *Server) SchedStats() SchedStats {
 	sc := s.sched
-	if sc == nil {
-		return SchedStats{}
-	}
 	sc.mu.Lock()
 	st := SchedStats{
 		Workers:  sc.workers,
@@ -340,14 +347,11 @@ type SchedTenantStat struct {
 }
 
 // SchedTenants snapshots every tenant with queued work, foreground lane
-// first. Nil when the scheduler is disabled or idle — tenants retire the
-// moment their queues drain, so this is the transient backlog, not a
-// roster of connected streams.
+// first. Nil when the scheduler is idle — tenants retire the moment
+// their queues drain, so this is the transient backlog, not a roster of
+// connected streams.
 func (s *Server) SchedTenants() []SchedTenantStat {
 	sc := s.sched
-	if sc == nil {
-		return nil
-	}
 	var out []SchedTenantStat
 	sc.mu.Lock()
 	for _, l := range []*laneQ{&sc.fg, &sc.bg} {

@@ -2,9 +2,11 @@ package netv3
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"log"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,6 +18,14 @@ import (
 )
 
 // ServerConfig sizes a netv3 server.
+//
+// Every server runs one dispatch shape. Each session loop answers cache
+// hits, write-behind absorbs and control frames inline; everything else
+// (cache misses, uncached I/O, writes over the dirty high-watermark,
+// Flush) runs synchronously on the shared scheduler's workers. Every
+// volume has a batched disk queue that carries its destage batches,
+// prefetch windows and Flush fsync. The toggles below are ablations of
+// that shape, not alternative shapes.
 type ServerConfig struct {
 	// Credits is the flow-control window granted per session: the number
 	// of staging buffer slots, each MaxXfer bytes.
@@ -32,26 +42,15 @@ type ServerConfig struct {
 	// NoPool disables payload buffer pooling (ablation: every request
 	// allocates fresh buffers, the pre-optimization behavior).
 	NoPool bool
-	// NoBatch disables response frame batching (ablation: every response
-	// is flushed to the socket individually).
+	// NoBatch disables the per-session async completion writer (ablation:
+	// every response is written to the socket directly, frame then body,
+	// as two unbuffered writes).
 	NoBatch bool
-	// DiskWorkers, when positive, enables the pipelined disk path: each
-	// volume gets a pool of that many disk worker goroutines, cache hits
-	// are served inline on the session loop, and store I/O completes out
-	// of order through a per-session completion lane. 0 keeps the classic
-	// synchronous dispatch (the ablation baseline).
-	DiskWorkers int
-	// DiskQ routes every store I/O through a batched submission/completion
-	// queue (internal/diskq): demand-read misses, write-through writes,
-	// destage runs, and prefetch windows become submissions on one SQ/CQ
-	// pair per volume, drained by a single dispatcher goroutine, with
-	// io_uring underneath on Linux and a goroutine pool elsewhere. It
-	// supersedes DiskWorkers for dispatch (no per-volume worker pool is
-	// created); a positive DiskWorkers then only sizes the portable
-	// backend's pool.
+	// Deprecated: every volume has a disk queue; this field is ignored.
 	DiskQ bool
 	// SQDepth bounds the in-flight operations of each volume's disk queue
-	// (submission-queue depth). 0 selects 64. Only meaningful with DiskQ.
+	// (internal/diskq: io_uring on Linux file stores, a goroutine pool
+	// otherwise). 0 selects 64.
 	SQDepth int
 	// NoWriteBehind disables write-behind destaging (ablation): writes go
 	// to the store before they are acknowledged, as in the seed. Only
@@ -67,25 +66,22 @@ type ServerConfig struct {
 	DirtyHighWater int
 	// DestageInterval is the background destage period. 0 selects 5ms.
 	DestageInterval time.Duration
-	// SchedWorkers, when positive, replaces per-session dispatch with the
-	// shared request scheduler: a bounded pool of that many workers drains
-	// per-tenant weighted queues in two QoS lanes (foreground client I/O,
-	// background destage/prefetch/utility), with admission control shedding
-	// foreground work past AdmitLimit. 0 keeps per-session dispatch; see
-	// sched.go. When on, it supersedes DiskWorkers/DiskQ for request
-	// dispatch (the disk queue still carries destage batches).
+	// SchedWorkers sizes the shared request scheduler: a bounded pool of
+	// workers draining per-tenant weighted queues in two QoS lanes
+	// (foreground client I/O, background destage/prefetch/utility), with
+	// admission control shedding foreground work past AdmitLimit. 0
+	// selects GOMAXPROCS; see sched.go.
 	SchedWorkers int
 	// AdmitLimit caps queued foreground scheduler tasks; beyond it requests
 	// are refused with StatusEOverloaded plus a retry-after hint instead of
-	// queueing without bound. 0 selects SchedWorkers*256. Only meaningful
-	// with SchedWorkers > 0.
+	// queueing without bound. 0 selects SchedWorkers*256.
 	AdmitLimit int
 	// MaxStreams caps logical streams per connection (the wire protocol's
 	// session-multiplexing layer). 0 selects 65535, the field's ceiling.
 	MaxStreams int
 	// Metrics, when non-nil, enables server-side instrumentation on this
-	// registry: dispatch/queue-wait/disk-service/destage/flush/prefetch
-	// latency histograms plus gauge exports of the served/cache/pool/disk
+	// registry: dispatch/scheduler-wait/destage/flush/prefetch latency
+	// histograms plus gauge exports of the served/cache/pool/disk
 	// counters. Nil is the disabled fast path.
 	Metrics *obs.Registry
 	// NoTrace stops the server from negotiating FeatureTrace, so traced
@@ -93,9 +89,9 @@ type ServerConfig struct {
 	// stand-in for a pre-trace server binary.
 	NoTrace bool
 	// Flight, when non-nil, is the always-on flight recorder: dispatches,
-	// sheds, disk submissions/completions, destage and prefetch passes
-	// record fixed-size events into its ring, and admission-control sheds
-	// auto-capture an incident dump. Nil no-ops every site.
+	// sheds, destage and prefetch passes and flushes record fixed-size
+	// events into its ring, and admission-control sheds auto-capture an
+	// incident dump. Nil no-ops every site.
 	Flight *obs.Flight
 	// Logger receives connection-level errors; nil silences them.
 	Logger *log.Logger
@@ -108,10 +104,10 @@ func DefaultServerConfig() ServerConfig {
 
 const cacheBlockSize = 8192
 
-// sockBufSize sizes the per-session bufio reader and writer. The writer
-// doubles as the frame-batching byte threshold: a pending batch is
-// pushed to the kernel when it reaches this size even if responses are
-// still being produced.
+// sockBufSize sizes the session's bufio reader and the client's batching
+// writer. On the client it doubles as the frame-batching byte threshold:
+// a pending batch is pushed to the kernel when it reaches this size even
+// if requests are still being produced.
 const sockBufSize = 64 << 10
 
 // readBufSize returns the session read-buffer size: the full batching
@@ -133,14 +129,51 @@ type srvStream struct {
 	weight int
 }
 
-// volume is one exported store with its optional sharded block cache
-// and the per-volume disk-pipeline components (each nil when its toggle
-// is off).
+// srvSession is one connection's dispatch state. The session goroutine
+// owns streams and pf; tasks and done let a reconnecting successor
+// fence the session (see Server.fence).
+type srvSession struct {
+	s       *Server
+	id      uint64 // SessionID: the high half of the session's tenant keys
+	conn    net.Conn
+	streams map[uint32]*srvStream // open logical streams; stream 0 is implicit
+	pf      prefetcher            // sequential-read detector
+
+	tasks sync.WaitGroup // requests handed to the scheduler, not yet finished
+	done  chan struct{}  // closed once the loop has exited and tasks drained
+}
+
+func (s *Server) newSession(conn net.Conn) *srvSession {
+	return &srvSession{s: s, id: s.nextSess.Add(1), conn: conn,
+		streams: make(map[uint32]*srvStream), done: make(chan struct{})}
+}
+
+// tenant resolves a frame's stream id to its scheduler coordinates,
+// implicitly opening unknown streams as foreground (a data frame can
+// legitimately precede its re-announced StreamOpen after a client
+// reconnect).
+func (ss *srvSession) tenant(stream uint32) (key uint64, bg bool, weight int) {
+	weight = 1
+	if st := ss.streams[stream]; st != nil {
+		bg = st.class == wire.ClassBackground
+		if st.weight > 0 {
+			weight = st.weight
+		}
+	} else if stream != 0 {
+		ss.streams[stream] = &srvStream{class: wire.ClassForeground}
+		ss.s.streamsActive.Add(1)
+		ss.s.streamsTotal.Add(1)
+	}
+	return tenantKey(ss.id, stream), bg, weight
+}
+
+// volume is one exported store with its disk queue, its optional sharded
+// block cache, and the cache's write-behind and read-ahead engines (each
+// nil when its toggle is off).
 type volume struct {
 	store BlockStore
+	dq    *diskQueue // batched submission/completion store I/O
 	cache *blockCache
-	pipe  *diskPipe       // DiskWorkers > 0 (without DiskQ): async store I/O
-	dq    *diskQueue      // DiskQ: batched submission/completion store I/O
 	wb    *destager       // cache + write-behind: dirty-block destaging
 	pf    *prefetchWorker // cache + prefetch: sequential read-ahead
 }
@@ -151,7 +184,7 @@ type Server struct {
 	pool   *bufpool.Pool // nil when cfg.NoPool: Get/Put degrade to make/no-op
 	om     *serverObs    // nil when cfg.Metrics is unset
 	flight *obs.Flight   // nil when cfg.Flight is unset; every Record no-ops
-	sched  *sched        // nil unless cfg.SchedWorkers > 0
+	sched  *sched        // shared request scheduler; Close shuts it last
 
 	// volumes is a copy-on-write map: lookups on the request hot path are
 	// a single atomic load, with no lock shared across sessions. addMu
@@ -178,6 +211,11 @@ type Server struct {
 	// sessions and peers would never observe the shutdown.
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
+
+	// fences maps the ClientID of each FeatureFence client to its live
+	// session (see fence).
+	fenceMu sync.Mutex
+	fences  map[uint64]*srvSession
 }
 
 // NewServer returns a server with no volumes; add them with AddVolume.
@@ -191,7 +229,11 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.MaxStreams <= 0 || cfg.MaxStreams > int(^uint16(0)) {
 		cfg.MaxStreams = int(^uint16(0))
 	}
-	s := &Server{cfg: cfg, done: make(chan struct{}), conns: make(map[net.Conn]struct{})}
+	if cfg.SchedWorkers <= 0 {
+		cfg.SchedWorkers = runtime.GOMAXPROCS(0)
+	}
+	s := &Server{cfg: cfg, done: make(chan struct{}), conns: make(map[net.Conn]struct{}),
+		fences: make(map[uint64]*srvSession)}
 	s.flight = cfg.Flight
 	s.flight.SetKindNames(flightKindNames)
 	if !cfg.NoPool {
@@ -199,39 +241,32 @@ func NewServer(cfg ServerConfig) *Server {
 	}
 	s.volumes.Store(&map[uint32]*volume{})
 	s.om = newServerObs(cfg.Metrics, s)
-	if cfg.SchedWorkers > 0 {
-		s.sched = newSched(s, cfg.SchedWorkers, cfg.AdmitLimit)
-	}
+	s.sched = newSched(s, cfg.SchedWorkers, cfg.AdmitLimit)
 	return s
 }
 
-// AddVolume exports store under the given volume ID.
-func (s *Server) AddVolume(id uint32, store BlockStore) {
+// AddVolume exports store under the given volume ID. It fails, adding
+// nothing, when the server is closed or the volume's disk queue cannot
+// open.
+func (s *Server) AddVolume(id uint32, store BlockStore) error {
 	s.addMu.Lock()
 	defer s.addMu.Unlock()
+	if s.closed.Load() {
+		return net.ErrClosed
+	}
 	v := &volume{store: store}
+	dq, err := newDiskQueue(s, v)
+	if err != nil {
+		return fmt.Errorf("netv3: vol %d disk queue: %w", id, err)
+	}
+	v.dq = dq
 	if s.cfg.CacheBlocks > 0 {
 		v.cache = newBlockCache(s.cfg.CacheBlocks, s.cfg.CacheShards, s.pool)
-	}
-	if !s.closed.Load() {
-		if s.cfg.DiskQ {
-			dq, err := newDiskQueue(s, v)
-			if err != nil {
-				// Should not happen — the portable backend has no failure
-				// mode — but a volume without its queue still works through
-				// the classic paths.
-				s.logf("netv3: vol %d disk queue: %v", id, err)
-			} else {
-				v.dq = dq
-			}
-		} else if s.cfg.DiskWorkers > 0 {
-			v.pipe = newDiskPipe(s, v)
-		}
-		if v.cache != nil && !s.cfg.NoWriteBehind {
+		if !s.cfg.NoWriteBehind {
 			v.wb = newDestager(s, v)
 			go v.wb.run(s.done)
 		}
-		if v.cache != nil && !s.cfg.NoPrefetch {
+		if !s.cfg.NoPrefetch {
 			v.pf = newPrefetchWorker(v)
 			go v.pf.run(s, s.done)
 		}
@@ -243,6 +278,7 @@ func (s *Server) AddVolume(id uint32, store BlockStore) {
 	}
 	next[id] = v
 	s.volumes.Store(&next)
+	return nil
 }
 
 // lookup resolves a volume ID lock-free.
@@ -338,31 +374,30 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve()
 }
 
-// Close stops accepting, stops the background disk-path goroutines
-// (workers drain their queues first), severs every live session, and
-// closes the listener. Per volume the order matters: the destager and
-// prefetcher finish first (their final passes may still submit to the
-// disk queue), then the queue itself closes, draining every in-flight
-// completion before the dispatcher exits. Sessions racing this see
-// TrySubmit fail and take the classic path.
+// Close stops accepting, stops each volume's background goroutines,
+// severs every live session, closes the listener, and drains the
+// scheduler. Per volume the order matters: the destager and prefetcher
+// finish first (their final passes may still submit to the disk queue),
+// then the queue itself closes, draining every in-flight completion
+// before the dispatcher exits.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	close(s.done)
-	for _, v := range *s.volumes.Load() {
+	// An AddVolume holding addMu finishes before this snapshot; a later
+	// one sees closed and adds nothing.
+	s.addMu.Lock()
+	vols := *s.volumes.Load()
+	s.addMu.Unlock()
+	for _, v := range vols {
 		if v.wb != nil {
 			<-v.wb.stopped
 		}
 		if v.pf != nil {
 			<-v.pf.stopped
 		}
-		if v.pipe != nil {
-			v.pipe.shutdown()
-		}
-		if v.dq != nil {
-			v.dq.close()
-		}
+		v.dq.close()
 	}
 	var err error
 	if s.ln != nil {
@@ -374,13 +409,12 @@ func (s *Server) Close() error {
 	}
 	s.conns = make(map[net.Conn]struct{})
 	s.connMu.Unlock()
-	// The scheduler closes last: sessions racing the shutdown see
-	// tryEnqueue fail and fall back to inline execution, and by this point
-	// the destagers/prefetchers (its background producers) have stopped and
-	// the conns are severed, so the drain is short.
-	if s.sched != nil {
-		s.sched.close()
-	}
+	// The scheduler closes last: by this point the destagers/prefetchers
+	// (its background producers) have stopped and the conns are severed, so
+	// the drain is short. A session still decoding frames it buffered
+	// before its socket was severed sees tryEnqueue refuse; it answers the
+	// request with a retry hint but records no shed (see refused).
+	s.sched.close()
 	return err
 }
 
@@ -390,10 +424,10 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// obsDispatch folds one inline dispatch — frame decoded → response
-// buffered or disk task queued — into the dispatch histogram. t0 is zero
-// when metrics are off (or the request took the goroutine ablation
-// path), making the disabled case a single branch.
+// obsDispatch folds one session-loop dispatch — frame decoded → response
+// queued or task handed to the scheduler — into the dispatch histogram.
+// t0 is zero when metrics are off or the request fell outside the
+// sample, making the disabled case a single branch.
 func (s *Server) obsDispatch(t0 int64) {
 	if t0 != 0 {
 		s.om.dispatch.Observe(obs.Now() - t0)
@@ -401,75 +435,62 @@ func (s *Server) obsDispatch(t0 int64) {
 }
 
 // respWriter serializes response frames and bodies onto one session's
-// socket. In batching mode responses accumulate in a bufio.Writer and
-// the session loop issues one flush syscall when the inbound request
-// burst drains — the TCP analogue of the paper's interrupt batching
-// (Section 3.2): just as kDSA withholds completion interrupts while more
-// completions are imminent, the session withholds the flush while more
-// requests (hence more responses) are already buffered. The byte
-// threshold is the bufio buffer itself: a batch that reaches sockBufSize
-// is pushed to the kernel mid-stream.
+// socket. Two producers feed it: the session loop (cache hits,
+// write-behind acks, control replies) and the scheduler workers (every
+// other request).
 //
-// With noBatch the writer reproduces the seed's behavior exactly: no
-// write buffering, one syscall for the frame and a second for the body.
-// With noPool it also reproduces the seed's per-frame Marshal
-// allocation instead of staging frames in the scratch buffer.
+// Normally it is an async completion queue. A session multiplexing
+// hundreds of logical streams can have megabytes of responses
+// outstanding toward one socket; once the kernel send buffer fills, a
+// synchronous write blocks while holding mu and every scheduler worker
+// trying to complete a request queues up behind the socket — the worker
+// pool drains at wire speed instead of device speed. So producers
+// append encoded responses to q (a memcpy) and return; the dedicated
+// writeLoop goroutine swaps the queue out and writes it with mu
+// released, so socket backpressure stalls only the writer and
+// concurrent completions coalesce into one large write. This is the
+// completion-queue drain from the paper's server (Section 4): workers
+// post completions, one agent moves them to the wire. It is also the
+// TCP analogue of the paper's interrupt batching (Section 3.2):
+// responses that complete while a write is in progress go out together
+// in the next one.
+//
+// With noBatch (the ablation baseline) there is no queue: each response
+// is two unbuffered writes under mu, frame then body, like the seed.
+// With noPool the frame is also freshly Marshaled per response instead
+// of staged in the scratch buffer — the seed's per-message allocation.
 type respWriter struct {
 	mu      sync.Mutex
 	conn    io.Writer
-	bw      *bufio.Writer // nil when noBatch
-	noBatch bool
 	noPool  bool
 	scratch [wire.ControlSize]byte // frame staging; guarded by mu
 
-	// responders counts scheduler workers currently inside respondSched:
-	// a worker flushes only when it is the last one out, so a burst of
-	// concurrent completions coalesces into one syscall — the adaptive
-	// flush discipline, ported to multi-producer response traffic.
-	responders atomic.Int32
-
-	// Async completion-writer state (scheduler sessions only). A session
-	// multiplexing hundreds of logical streams can have megabytes of
-	// responses outstanding toward one socket; once the kernel send buffer
-	// fills, a synchronous flush blocks while holding mu and every
-	// scheduler worker trying to complete a request queues up behind the
-	// socket — the worker pool drains at wire speed instead of device
-	// speed. In async mode workers append encoded responses to q (a
-	// memcpy) and return to the pool; the dedicated writeLoop goroutine
-	// swaps the queue out and writes it with mu released, so socket
-	// backpressure stalls only the writer and concurrent completions
-	// coalesce into one large write. This is the completion-queue drain
-	// from the paper's server (Section 4): workers post completions, one
-	// agent moves them to the wire.
+	// Async completion-queue state; see the type comment.
 	async   bool
 	q       []byte     // pending response bytes; guarded by mu
 	qSpare  []byte     // writeLoop's drained buffer, recycled; guarded by mu
 	qCond   *sync.Cond // writeLoop waits here for work
 	qSpace  *sync.Cond // producers wait here when q exceeds asyncQMax
-	qErr    error      // sticky socket error; poisons all later responds
+	qErr    error      // sticky socket error; poisons all later sends
 	qClosed bool
 	qWG     sync.WaitGroup
 
-	// Reusable hot-path response structs for inline (batching-mode)
-	// dispatch, where the session loop is the only responder. Guarded by
-	// mu like scratch.
+	// Reusable response structs for the session loop's inline answers
+	// (cache hits, write-behind acks). Only the session goroutine fills
+	// them; send encodes them under mu before returning.
 	rr wire.ReadResp
 	wr wire.WriteResp
 }
 
-func newRespWriter(conn io.Writer, noBatch, noPool bool) *respWriter {
-	w := &respWriter{conn: conn, noBatch: noBatch, noPool: noPool}
-	if !noBatch {
-		w.bw = bufio.NewWriterSize(conn, sockBufSize)
-	}
-	return w
+func newRespWriter(conn io.Writer, noPool bool) *respWriter {
+	return &respWriter{conn: conn, noPool: noPool}
 }
 
-// asyncQMax bounds the async response queue. Producers (scheduler
-// workers) block once the unsent backlog passes it — the same
-// backpressure a blocking flush used to apply, minus the convoy: the cap
-// is far above what client credits admit in normal operation, so it only
-// engages against a peer that stops reading.
+// asyncQMax bounds the async response queue. Producers block once the
+// unsent backlog passes it — the same backpressure a blocking write
+// would apply, minus the convoy: the cap is far above what client
+// credits admit in normal operation, so it only engages against a peer
+// that stops reading.
 const asyncQMax = 16 << 20
 
 // startAsync switches the writer into async completion mode and starts
@@ -557,137 +578,38 @@ func (w *respWriter) frame(m wire.Message) []byte {
 	return w.scratch[:]
 }
 
-// send writes one response frame plus optional body and pushes it to
-// the kernel immediately. It is the control-plane path (handshake,
-// pong, flow-control rejections) and the whole data path when batching
-// is off — where frame and body go out as two separate unbuffered
-// writes, like the seed.
+// send writes one response frame plus optional body: onto the async
+// queue, or — before startAsync and under noBatch — straight to the
+// socket as two unbuffered writes. body may be reused once send returns.
 func (w *respWriter) send(m wire.Message, body []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.async {
 		return w.qAppend(w.frame(m), body)
 	}
-	if w.noBatch {
-		if _, err := w.conn.Write(w.frame(m)); err != nil {
-			return err
-		}
-		if len(body) > 0 {
-			if _, err := w.conn.Write(body); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if _, err := w.bw.Write(w.frame(m)); err != nil {
+	if _, err := w.conn.Write(w.frame(m)); err != nil {
 		return err
 	}
 	if len(body) > 0 {
-		if _, err := w.bw.Write(body); err != nil {
-			return err
-		}
-	}
-	return w.bw.Flush()
-}
-
-// buffer appends one response frame plus optional body to the pending
-// batch without flushing; the session loop flushes via flushPending when
-// the inbound burst drains. Batching mode only.
-func (w *respWriter) buffer(m wire.Message, body []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.async {
-		return w.qAppend(w.frame(m), body)
-	}
-	if _, err := w.bw.Write(w.frame(m)); err != nil {
-		return err
-	}
-	if len(body) > 0 {
-		if _, err := w.bw.Write(body); err != nil {
+		if _, err := w.conn.Write(body); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// respMode selects how a response reaches the socket.
-type respMode int
-
-const (
-	// respGo writes and flushes immediately — goroutine dispatch, noBatch,
-	// and the control plane.
-	respGo respMode = iota
-	// respInline buffers; the session loop flushes when the inbound burst
-	// drains.
-	respInline
-	// respSched buffers and flushes only when no other scheduler worker is
-	// mid-response — the multi-producer adaptive flush.
-	respSched
-)
-
-// respond routes a response through the batch (inline dispatch), the
-// scheduler's last-responder-flushes path, or straight to the socket
-// (goroutine dispatch, noBatch).
-func (w *respWriter) respond(m wire.Message, body []byte, mode respMode) error {
-	switch mode {
-	case respInline:
-		return w.buffer(m, body)
-	case respSched:
-		return w.respondSched(m, body)
-	}
-	return w.send(m, body)
-}
-
-// respondSched writes one response from a scheduler worker. Unlike the
-// session loop, workers have no "burst is over" signal to hang a flush
-// on, so the discipline is: buffer under mu, and flush only if no other
-// worker is already waiting to append — the last responder out pushes the
-// whole batch in one syscall. The responders increment happens before
-// taking mu, so a waiter is visible to the current lock holder and
-// suppresses its flush.
-func (w *respWriter) respondSched(m wire.Message, body []byte) error {
-	if w.bw == nil || w.async {
-		return w.send(m, body)
-	}
-	w.responders.Add(1)
-	w.mu.Lock()
-	w.responders.Add(-1)
-	var err error
-	if _, err = w.bw.Write(w.frame(m)); err == nil && len(body) > 0 {
-		_, err = w.bw.Write(body)
-	}
-	if err == nil && w.responders.Load() == 0 {
-		err = w.bw.Flush()
-	}
-	w.mu.Unlock()
-	return err
-}
-
-// flushPending pushes any buffered responses to the kernel.
-func (w *respWriter) flushPending() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.async {
-		return w.qErr // writeLoop pushes continuously; only report death
-	}
-	if w.bw == nil || w.bw.Buffered() == 0 {
-		return nil
-	}
-	return w.bw.Flush()
-}
-
 // session speaks the V3 protocol on one connection. Control messages are
 // fixed 64-byte frames; write payloads follow their Write message, read
 // payloads follow the ReadResp.
 //
-// Dispatch depends on the batching mode. Batching on: requests execute
-// inline in this loop (no per-request goroutine), responses accumulate
-// in the respWriter, and one flush goes out when no further request
-// frame is already buffered — the paper's completion pipeline, which
-// also lets the loop reuse one decoded message and one response struct
-// for the whole session. Batching off (the ablation baseline): each
-// request runs in its own goroutine and each response is written
-// unbuffered, the seed's dispatch.
+// The loop is the request manager of the paper's pipelined server. It
+// answers inline what needs no disk — cache hits, write-behind absorbs,
+// stream control, pings — and hands everything else to the shared
+// scheduler as a task for the frame's stream. Both paths post their
+// responses to the session's respWriter, and the client matches them by
+// Ack, so completions may reach the wire out of order. The loop reuses
+// one decoded message per request type; a request handed to the
+// scheduler is copied first.
 func (s *Server) session(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -695,11 +617,6 @@ func (s *Server) session(conn net.Conn) {
 		delete(s.conns, conn)
 		s.connMu.Unlock()
 	}()
-	inline := !s.cfg.NoBatch
-	mode := respGo
-	if inline {
-		mode = respInline
-	}
 	br := bufio.NewReaderSize(conn, readBufSize(s.cfg.NoBatch))
 	var frame [wire.ControlSize]byte
 	msg, err := wire.ReadFrom(br)
@@ -717,86 +634,53 @@ func (s *Server) session(conn net.Conn) {
 		credits = w
 	}
 	fc := flow.NewServer(credits)
-	w := newRespWriter(conn, s.cfg.NoBatch, s.cfg.NoPool)
+	w := newRespWriter(conn, s.cfg.NoPool)
 	// Feature negotiation: the reply carries the intersection of what the
 	// client advertised and what this server speaks. An old client encodes
 	// zeros in the (formerly padding) feature field, so the intersection is
 	// empty and both sides keep the original protocol.
-	srvFeats := wire.FeatureStreams | wire.FeatureTrace
+	srvFeats := wire.FeatureStreams | wire.FeatureTrace | wire.FeatureFence
 	if s.cfg.NoTrace {
 		srvFeats &^= wire.FeatureTrace
 	}
 	feats := connect.Features & srvFeats
+	ss := s.newSession(conn)
+	fenced := feats&wire.FeatureFence != 0
+	defer func() {
+		ss.tasks.Wait()
+		if fenced {
+			s.unfence(connect.ClientID, ss)
+		}
+		close(ss.done)
+	}()
+	if fenced {
+		s.fence(connect.ClientID, ss)
+	}
 	resp := &wire.ConnectResp{
 		Status: wire.StatusOK, Credits: uint16(credits),
-		MaxXfer: s.cfg.MaxXfer, SessionID: s.nextSess.Add(1),
+		MaxXfer: s.cfg.MaxXfer, SessionID: ss.id,
 		Features: feats,
 	}
 	if feats&wire.FeatureStreams != 0 {
 		resp.MaxStreams = uint16(s.cfg.MaxStreams)
 	}
-	sessID := resp.SessionID
 	if err := w.send(resp, nil); err != nil {
 		return
 	}
 	s.sessActive.Add(1)
 	defer s.sessActive.Add(-1)
-	// streams is the session's logical-stream registry: class and weight
-	// per open stream, fed by StreamOpen/StreamClose control frames. Only
-	// the session goroutine touches it. Stream 0 — the legacy/root session
-	// — is always implicitly open and foreground.
-	streams := make(map[uint32]*srvStream)
-	defer func() { s.streamsActive.Add(-int64(len(streams))) }()
-	// tenant resolves a frame's stream id to its scheduler coordinates,
-	// implicitly opening unknown streams as foreground (a data frame can
-	// legitimately precede its re-announced StreamOpen after a client
-	// reconnect).
-	tenant := func(stream uint32) (key uint64, bg bool, weight int) {
-		weight = 1
-		if st := streams[stream]; st != nil {
-			bg = st.class == wire.ClassBackground
-			if st.weight > 0 {
-				weight = st.weight
-			}
-		} else if stream != 0 {
-			streams[stream] = &srvStream{class: wire.ClassForeground}
-			s.streamsActive.Add(1)
-			s.streamsTotal.Add(1)
-		}
-		return tenantKey(sessID, stream), bg, weight
-	}
-	sched := s.sched
-	if sched != nil && w.bw != nil {
-		// Scheduler sessions complete requests from pool workers; route
-		// their responses through the async completion writer so a full
-		// socket never stalls the shared pool. The handshake above went
-		// out synchronously, so the ConnectResp error path stays simple.
+	defer func() { s.streamsActive.Add(-int64(len(ss.streams))) }()
+	if !s.cfg.NoBatch {
+		// The handshake above went out synchronously, so the ConnectResp
+		// error path stays simple; from here on every response rides the
+		// async completion queue.
 		w.startAsync(func() { conn.Close() })
 		defer w.stopAsync()
 	}
-	var sc *sessCtx // completion lane, with disk workers or the disk queue
-	if (s.cfg.DiskWorkers > 0 || s.cfg.DiskQ) && sched == nil {
-		sc = newSessCtx(s, w, credits)
-		defer func() {
-			// Kill the socket first so no new requests arrive, then wait
-			// out in-flight worker tasks before closing the lane.
-			conn.Close()
-			sc.close()
-		}()
-	}
-	var pf prefetcher    // per-session sequential-read detector
-	var rdMsg wire.Read  // reused by inline dispatch
-	var wrMsg wire.Write // reused by inline dispatch
+	var rdMsg wire.Read  // reused for every read frame
+	var wrMsg wire.Write // reused for every write frame
 	var obsTick uint     // drives 1-in-traceSample dispatch timing
 	for {
-		// Adaptive flush: if no complete request frame is already
-		// buffered, the burst is over — push the batched responses out
-		// before blocking for more work.
-		if inline && br.Buffered() < wire.ControlSize {
-			if err := w.flushPending(); err != nil {
-				return
-			}
-		}
 		t, err := wire.ReadFrame(br, &frame)
 		if err != nil {
 			if err != io.EOF {
@@ -804,8 +688,8 @@ func (s *Server) session(conn net.Conn) {
 			}
 			return
 		}
-		// Inline-dispatch start stamp; zero when metrics are off or this
-		// request falls outside the 1-in-traceSample sample.
+		// Dispatch start stamp; zero when metrics are off or this request
+		// falls outside the 1-in-traceSample sample.
 		var dt0 int64
 		if s.om != nil {
 			if obsTick%traceSample == 0 {
@@ -821,41 +705,22 @@ func (s *Server) session(conn net.Conn) {
 			// by the credit the client holds until the ReadResp returns
 			// it. So there is nothing to reserve here and fc is untouched.
 			m := &rdMsg
-			if !inline {
-				m = new(wire.Read)
-			}
 			if err := wire.UnmarshalInto(frame[:], m); err != nil {
 				return
 			}
 			arr := traceArr(m.Trace)
 			s.flight.Record(fkDispatch, m.Trace, uint64(t), uint64(m.Volume))
-			if sched != nil {
-				s.schedRead(m, w, &pf, tenant, mode, arr)
-				s.obsDispatch(dt0)
-				continue
-			}
-			if s.fastRead(m, w, sc, &pf, mode, arr) {
-				s.obsDispatch(dt0)
-				continue
-			}
-			if inline {
-				s.handleRead(m, w, respInline, arr)
-				s.obsDispatch(dt0)
-				continue
-			}
-			go s.handleRead(m, w, respGo, arr)
+			s.dispatchRead(m, w, ss, arr)
+			s.obsDispatch(dt0)
 		case wire.TWrite:
 			m := &wrMsg
-			if !inline {
-				m = new(wire.Write)
-			}
 			if err := wire.UnmarshalInto(frame[:], m); err != nil {
 				return
 			}
 			if err := fc.Reserve(m.Slot); err != nil {
 				s.logf("netv3: %v", err)
-				_ = w.respond(&wire.WriteResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-					ReqID: m.ReqID, Status: wire.StatusEAgain}, nil, mode)
+				_ = w.send(&wire.WriteResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
+					ReqID: m.ReqID, Status: wire.StatusEAgain}, nil)
 				continue
 			}
 			// The payload follows the control message on the stream and
@@ -892,14 +757,11 @@ func (s *Server) session(conn net.Conn) {
 						s.logf("netv3: write-behind vol %d [%d,+%d): %v", m.Volume, m.Offset, m.Length, err)
 					}
 					wr := &w.wr
-					if !inline {
-						wr = new(wire.WriteResp)
-					}
 					*wr = wire.WriteResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
 						ReqID: m.ReqID, Status: st, Credits: 1}
 					fillSpan(&wr.Header, &wr.SrvSpan, m.Trace, arr, arr)
 					s.served.Add(1)
-					_ = w.respond(wr, nil, mode)
+					_ = w.send(wr, nil)
 					s.pool.Put(body)
 					s.obsDispatch(dt0)
 					continue
@@ -908,60 +770,20 @@ func (s *Server) session(conn net.Conn) {
 				// the slow path; prod the destager to start catching up.
 				v.wb.kickNow()
 			}
-			if sched != nil {
-				key, bg, weight := tenant(m.Stream)
-				mm := new(wire.Write)
-				*mm = *m
-				ok, qd := sched.tryEnqueue(key, weight, bg, func() {
-					s.handleWrite(mm, body, w, respSched, arr)
-					s.pool.Put(body)
-				})
-				if !ok {
-					s.pool.Put(body)
-					s.noteShed(m.Trace, key, qd)
-					_ = w.respond(&wire.WriteResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-						ReqID: m.ReqID, Status: wire.StatusEOverloaded, Credits: 1,
-						RetryAfterMS: sched.retryAfterMS(qd)}, nil, mode)
-				}
-				s.obsDispatch(dt0)
-				continue
-			}
-			if v != nil && v.dq != nil && v.wb == nil {
-				// Write-through volume on the disk queue: the store write
-				// rides the SQ and the ack comes back through the completion
-				// lane. (Write-behind volumes never reach here below the
-				// high-watermark, and above it writeThrough must stay
-				// synchronous — it takes the destage mutex, which a
-				// completion callback may never block on.)
-				if checkStoreRange(v.store.Size(), int64(m.Offset), len(body)) == nil {
-					sc.wg.Add(1)
-					if v.dq.submitWrite(sc, m.Seq, m.ReqID, body, int64(m.Offset), m.Trace, arr) {
-						s.obsDispatch(dt0)
-						continue
-					}
-					sc.wg.Done()
-				}
-			}
-			if v != nil && v.pipe != nil {
-				t := diskTask{sc: sc, kind: taskWrite, seq: m.Seq, reqID: m.ReqID,
-					off: int64(m.Offset), body: body}
-				sc.wg.Add(1)
-				if v.pipe.trySubmit(t) {
-					s.obsDispatch(dt0)
-					continue
-				}
-				sc.wg.Done()
-			}
-			if inline {
-				s.handleWrite(m, body, w, respInline, arr)
+			key, bg, weight := ss.tenant(m.Stream)
+			mm := new(wire.Write)
+			*mm = *m
+			ok, qd := s.sched.tryEnqueue(key, weight, bg, &ss.tasks, func() {
+				s.handleWrite(mm, body, w, arr)
 				s.pool.Put(body)
-				s.obsDispatch(dt0)
-				continue
-			}
-			go func() {
-				s.handleWrite(m, body, w, respGo, arr)
+			})
+			if !ok {
 				s.pool.Put(body)
-			}()
+				_ = w.send(&wire.WriteResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
+					ReqID: m.ReqID, Status: wire.StatusEOverloaded, Credits: 1,
+					RetryAfterMS: s.refused(m.Trace, key, qd)}, nil)
+			}
+			s.obsDispatch(dt0)
 		case wire.TFlush:
 			m := new(wire.Flush)
 			if err := wire.UnmarshalInto(frame[:], m); err != nil {
@@ -969,27 +791,18 @@ func (s *Server) session(conn net.Conn) {
 			}
 			arr := traceArr(m.Trace)
 			s.flight.Record(fkDispatch, m.Trace, uint64(t), uint64(m.Volume))
-			if sched != nil {
-				// Flush rides the scheduler like any other foreground op —
-				// a durability barrier is latency-sensitive to its issuer.
-				// The worker running it may block in destage+fsync, which is
-				// safe: the pass never waits on another scheduler task.
-				key, bg, weight := tenant(m.Stream)
-				ok, qd := sched.tryEnqueue(key, weight, bg, func() { s.handleFlush(m, w, arr) })
-				if !ok {
-					s.noteShed(m.Trace, key, qd)
-					_ = w.respond(&wire.FlushResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-						ReqID: m.ReqID, Status: wire.StatusEOverloaded, Credits: 1,
-						RetryAfterMS: sched.retryAfterMS(qd)}, nil, mode)
-				}
-				s.obsDispatch(dt0)
-				continue
+			// Flush rides the scheduler like any other foreground op — a
+			// durability barrier is latency-sensitive to its issuer. The
+			// worker running it may block in destage+fsync, which is safe:
+			// the pass never waits on another scheduler task.
+			key, bg, weight := ss.tenant(m.Stream)
+			ok, qd := s.sched.tryEnqueue(key, weight, bg, &ss.tasks, func() { s.handleFlush(m, w, arr) })
+			if !ok {
+				_ = w.send(&wire.FlushResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
+					ReqID: m.ReqID, Status: wire.StatusEOverloaded, Credits: 1,
+					RetryAfterMS: s.refused(m.Trace, key, qd)}, nil)
 			}
-			// Flush is rare and slow (full destage + fsync), so it always
-			// runs on its own goroutine; its response takes the direct
-			// send path and may complete out of order, which the client
-			// matches by Ack like any other response.
-			go s.handleFlush(m, w, arr)
+			s.obsDispatch(dt0)
 		case wire.TStreamOpen:
 			m := new(wire.StreamOpen)
 			if err := wire.UnmarshalInto(frame[:], m); err != nil {
@@ -1001,18 +814,18 @@ func (s *Server) session(conn net.Conn) {
 				// Stream 0 is the implicit root session; "opening" it just
 				// re-grants (harmless, and a cheap client probe).
 				sr.Credits = uint16(credits)
-			case streams[m.Stream] == nil && len(streams) >= s.cfg.MaxStreams:
+			case ss.streams[m.Stream] == nil && len(ss.streams) >= s.cfg.MaxStreams:
 				sr.Status = wire.StatusEOverloaded
 				sr.RetryAfterMS = 10
 			default:
 				// New stream, or a reconnecting client re-announcing one this
 				// session already knows — re-registration is idempotent and
 				// the grant is re-sent (the client drops an unexpected reply).
-				if streams[m.Stream] == nil {
+				if ss.streams[m.Stream] == nil {
 					s.streamsActive.Add(1)
 					s.streamsTotal.Add(1)
 				}
-				streams[m.Stream] = &srvStream{class: m.Class, weight: int(m.Weight)}
+				ss.streams[m.Stream] = &srvStream{class: m.Class, weight: int(m.Weight)}
 				grant := int(m.WantCreds)
 				if grant <= 0 {
 					grant = 1
@@ -1022,7 +835,6 @@ func (s *Server) session(conn net.Conn) {
 				}
 				sr.Credits = uint16(grant)
 			}
-			// Control-plane reply: direct send, like the handshake.
 			if err := w.send(sr, nil); err != nil {
 				return
 			}
@@ -1031,8 +843,8 @@ func (s *Server) session(conn net.Conn) {
 			if err := wire.UnmarshalInto(frame[:], m); err != nil {
 				return
 			}
-			if m.Stream != 0 && streams[m.Stream] != nil {
-				delete(streams, m.Stream)
+			if m.Stream != 0 && ss.streams[m.Stream] != nil {
+				delete(ss.streams, m.Stream)
 				s.streamsActive.Add(-1)
 			}
 		case wire.TPing:
@@ -1050,36 +862,120 @@ func (s *Server) session(conn net.Conn) {
 	}
 }
 
-// handleRead serves one read. With inline dispatch the response struct
-// is the respWriter's reusable one, so a cache-hit read completes with
-// zero heap allocations; goroutine dispatch allocates per response like
-// the seed.
+// dispatchRead is the session loop's read path: it feeds the
+// sequential-read detector, serves whole-cache hits inline (a memcpy on
+// the session goroutine, answered with the session's reusable response),
+// and hands everything else to the scheduler as a foreground task that
+// runs handleRead synchronously on a worker. Admission refusals answer
+// EOverloaded with a backlog-sized retry hint.
+func (s *Server) dispatchRead(m *wire.Read, w *respWriter, ss *srvSession, arr int64) {
+	v := s.lookup(m.Volume)
+	if v != nil && m.Length <= s.cfg.MaxXfer &&
+		checkStoreRange(v.store.Size(), int64(m.Offset), int(m.Length)) == nil {
+		if v.pf != nil {
+			// Strided read-ahead needs ring headroom: a strided window is
+			// one vectored batch of up to maxPrefetchBlocks scattered
+			// single-block reads, and speculation that can fill half the
+			// ring starves the demand work queued behind it.
+			strideOK := v.dq.q.Depth() >= 2*maxPrefetchBlocks
+			blks, cancel, ok := ss.pf.observe(m.Volume, int64(m.Offset), int64(m.Length), strideOK)
+			if len(cancel) > 0 {
+				v.cache.prefetchDiscard(cancel)
+			}
+			if ok {
+				v.pf.submit(blks)
+			}
+		}
+		if v.cache != nil {
+			body := s.pool.Get(int(m.Length))
+			if v.tryCachedRead(body, int64(m.Offset)) {
+				rr := &w.rr
+				*rr = wire.ReadResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
+					ReqID: m.ReqID, Status: wire.StatusOK, Credits: 1, Length: uint32(len(body))}
+				fillSpan(&rr.Header, &rr.SrvSpan, m.Trace, arr, arr)
+				s.served.Add(1)
+				_ = w.send(rr, body)
+				s.pool.Put(body)
+				return
+			}
+			s.pool.Put(body)
+		}
+	}
+	key, bg, weight := ss.tenant(m.Stream)
+	mm := new(wire.Read)
+	*mm = *m
+	ok, qd := s.sched.tryEnqueue(key, weight, bg, &ss.tasks, func() { s.handleRead(mm, w, arr) })
+	if !ok {
+		_ = w.send(&wire.ReadResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
+			ReqID: m.ReqID, Status: wire.StatusEOverloaded, Credits: 1,
+			RetryAfterMS: s.refused(m.Trace, key, qd)}, nil)
+	}
+}
+
+// fence makes ss the live session of a FeatureFence client. A live
+// session with the same ClientID is its predecessor: the client only
+// redials after losing that connection, and replays every request it
+// had outstanding on it. The old session may not have noticed yet, and
+// requests it already decoded may still be queued or running. Left
+// alone, one of them could land after the replayed copy was answered
+// and overwrite a newer write the client issued since. So fence severs
+// the old socket and waits until its loop has exited and its scheduler
+// tasks have finished; only then does the handshake answer.
+func (s *Server) fence(clientID uint64, ss *srvSession) {
+	s.fenceMu.Lock()
+	old := s.fences[clientID]
+	s.fences[clientID] = ss
+	s.fenceMu.Unlock()
+	if old != nil {
+		old.conn.Close()
+		<-old.done
+	}
+}
+
+// unfence drops ss from the fence table unless a successor replaced it.
+func (s *Server) unfence(clientID uint64, ss *srvSession) {
+	s.fenceMu.Lock()
+	if s.fences[clientID] == ss {
+		delete(s.fences, clientID)
+	}
+	s.fenceMu.Unlock()
+}
+
+// refused accounts for a request the scheduler did not accept and
+// returns the retry hint for its EOverloaded answer. queued > 0 is an
+// admission shed: it goes into the flight recorder, which auto-captures
+// an incident dump — an overload is exactly the moment the ring's recent
+// history is worth keeping. queued == 0 means the scheduler is closed:
+// the server is shutting down, which is not overload, so nothing is
+// recorded; the request is still answered so its issuer never hangs.
+func (s *Server) refused(trace, key uint64, queued int) uint16 {
+	if queued > 0 && s.flight != nil {
+		s.flight.Record(fkShed, trace, key, uint64(queued))
+		s.flight.Incident("sched-shed")
+	}
+	return s.sched.retryAfterMS(queued)
+}
+
+// handleRead serves one read on a scheduler worker: through the cache,
+// filling misses from the store, or straight from the store when the
+// volume has no cache.
 //
 // arr is the traced request's arrival stamp (zero untraced): the gap to
-// handler entry is the span block's queue wait — on the scheduler path
-// that is the real lane wait, since the worker runs this closure.
-func (s *Server) handleRead(m *wire.Read, w *respWriter, mode respMode, arr int64) {
+// handler entry is the span block's queue wait — the real scheduler
+// lane wait, since the worker runs this closure.
+func (s *Server) handleRead(m *wire.Read, w *respWriter, arr int64) {
 	start := traceArr(m.Trace)
-	var rr *wire.ReadResp
-	if mode == respInline {
-		rr = &w.rr
-		*rr = wire.ReadResp{}
-	} else {
-		rr = new(wire.ReadResp)
-	}
-	rr.Stream = m.Stream
-	rr.Ack = uint32(m.Seq)
-	rr.ReqID = m.ReqID
-	rr.Credits = 1
+	rr := &wire.ReadResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
+		ReqID: m.ReqID, Credits: 1}
 	v := s.lookup(m.Volume)
 	if v == nil {
 		rr.Status = wire.StatusENoVolume
-		_ = w.respond(rr, nil, mode)
+		_ = w.send(rr, nil)
 		return
 	}
 	if m.Length > s.cfg.MaxXfer {
 		rr.Status = wire.StatusEInval
-		_ = w.respond(rr, nil, mode)
+		_ = w.send(rr, nil)
 		return
 	}
 	// Validate the range up front: the cached path slices per-block
@@ -1087,7 +983,7 @@ func (s *Server) handleRead(m *wire.Read, w *respWriter, mode respMode, arr int6
 	// MaxInt64) must be rejected before it reaches any buffer math.
 	if checkStoreRange(v.store.Size(), int64(m.Offset), int(m.Length)) != nil {
 		rr.Status = wire.StatusEInval
-		_ = w.respond(rr, nil, mode)
+		_ = w.send(rr, nil)
 		return
 	}
 	body := s.pool.Get(int(m.Length))
@@ -1107,25 +1003,18 @@ func (s *Server) handleRead(m *wire.Read, w *respWriter, mode respMode, arr int6
 	s.served.Add(1)
 	rr.Length = uint32(len(body))
 	fillSpan(&rr.Header, &rr.SrvSpan, m.Trace, arr, start)
-	_ = w.respond(rr, body, mode)
+	_ = w.send(rr, body)
 	s.pool.Put(body)
 }
 
-func (s *Server) handleWrite(m *wire.Write, body []byte, w *respWriter, mode respMode, arr int64) {
+// handleWrite serves one write on a scheduler worker: write-through on
+// a volume without write-behind, or the destager's synchronous fallback
+// once the dirty high-watermark is reached.
+func (s *Server) handleWrite(m *wire.Write, body []byte, w *respWriter, arr int64) {
 	start := traceArr(m.Trace)
-	var wr *wire.WriteResp
-	if mode == respInline {
-		wr = &w.wr
-		*wr = wire.WriteResp{}
-	} else {
-		wr = new(wire.WriteResp)
-	}
-	wr.Stream = m.Stream
-	wr.Ack = uint32(m.Seq)
-	wr.ReqID = m.ReqID
-	wr.Credits = 1
+	wr := &wire.WriteResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
+		ReqID: m.ReqID, Status: wire.StatusOK, Credits: 1}
 	v := s.lookup(m.Volume)
-	wr.Status = wire.StatusOK
 	if v == nil {
 		wr.Status = wire.StatusENoVolume
 	} else if err := v.write(body, int64(m.Offset)); err != nil {
@@ -1134,153 +1023,7 @@ func (s *Server) handleWrite(m *wire.Write, body []byte, w *respWriter, mode res
 	}
 	s.served.Add(1)
 	fillSpan(&wr.Header, &wr.SrvSpan, m.Trace, arr, start)
-	_ = w.respond(wr, nil, mode)
-}
-
-// schedRead is read dispatch under the shared scheduler: the session loop
-// feeds the sequential-read detector and serves whole-cache hits inline
-// (its serial fast path, same as fastRead), and everything else becomes a
-// foreground-lane task executing the classic read synchronously on a
-// scheduler worker. Admission refusals answer EOverloaded with a backlog-
-// sized retry hint. tenant is the session's stream→scheduler resolver.
-func (s *Server) schedRead(m *wire.Read, w *respWriter, pf *prefetcher,
-	tenant func(uint32) (uint64, bool, int), mode respMode, arr int64) {
-	v := s.lookup(m.Volume)
-	if v != nil && m.Length <= s.cfg.MaxXfer &&
-		checkStoreRange(v.store.Size(), int64(m.Offset), int(m.Length)) == nil {
-		if v.pf != nil {
-			strideOK := v.dq != nil && v.dq.q.Depth() >= 2*maxPrefetchBlocks
-			blks, cancel, ok := pf.observe(m.Volume, int64(m.Offset), int64(m.Length), strideOK)
-			if len(cancel) > 0 {
-				v.cache.prefetchDiscard(cancel)
-			}
-			if ok {
-				v.pf.submit(blks)
-			}
-		}
-		if v.cache != nil {
-			body := s.pool.Get(int(m.Length))
-			if v.tryCachedRead(body, int64(m.Offset)) {
-				rr := &w.rr
-				if mode != respInline {
-					rr = new(wire.ReadResp)
-				}
-				*rr = wire.ReadResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-					ReqID: m.ReqID, Status: wire.StatusOK, Credits: 1, Length: uint32(len(body))}
-				fillSpan(&rr.Header, &rr.SrvSpan, m.Trace, arr, arr)
-				s.served.Add(1)
-				_ = w.respond(rr, body, mode)
-				s.pool.Put(body)
-				return
-			}
-			s.pool.Put(body)
-		}
-	}
-	key, bg, weight := tenant(m.Stream)
-	mm := new(wire.Read)
-	*mm = *m
-	ok, qd := s.sched.tryEnqueue(key, weight, bg, func() { s.handleRead(mm, w, respSched, arr) })
-	if !ok {
-		s.noteShed(m.Trace, key, qd)
-		_ = w.respond(&wire.ReadResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-			ReqID: m.ReqID, Status: wire.StatusEOverloaded, Credits: 1,
-			RetryAfterMS: s.sched.retryAfterMS(qd)}, nil, mode)
-	}
-}
-
-// noteShed records an admission-control refusal in the flight recorder
-// and auto-captures an incident dump — an overload is exactly the moment
-// the ring's recent history is worth keeping.
-func (s *Server) noteShed(trace, key uint64, backlog int) {
-	if s.flight == nil {
-		return
-	}
-	s.flight.Record(fkShed, trace, key, uint64(backlog))
-	s.flight.Incident("sched-shed")
-}
-
-// fastRead is the pipelined dispatch for reads: it feeds the session's
-// sequential-read detector, serves whole-cache hits inline (a memcpy on
-// the session goroutine), and hands misses to the volume's disk workers
-// so one slow store read cannot stall the requests queued behind it. A
-// false return sends the request down the classic path, which also owns
-// all error responses.
-func (s *Server) fastRead(m *wire.Read, w *respWriter, sc *sessCtx, pf *prefetcher, mode respMode, arr int64) bool {
-	v := s.lookup(m.Volume)
-	if v == nil || m.Length > s.cfg.MaxXfer {
-		return false
-	}
-	if v.pf != nil {
-		// Strided read-ahead needs the batched queue AND ring headroom: a
-		// strided window is one vectored batch of up to maxPrefetchBlocks
-		// scattered single-block reads, and speculation that can fill half
-		// the ring starves demand misses queued behind it.
-		strideOK := v.dq != nil && v.dq.q.Depth() >= 2*maxPrefetchBlocks
-		blks, cancel, ok := pf.observe(m.Volume, int64(m.Offset), int64(m.Length), strideOK)
-		if len(cancel) > 0 {
-			v.cache.prefetchDiscard(cancel)
-		}
-		if ok {
-			v.pf.submit(blks)
-		}
-	}
-	if v.pipe == nil && v.dq == nil {
-		return false
-	}
-	body := s.pool.Get(int(m.Length))
-	if v.cache != nil && v.tryCachedRead(body, int64(m.Offset)) {
-		var rr *wire.ReadResp
-		if mode == respInline {
-			rr = &w.rr
-		} else {
-			rr = new(wire.ReadResp)
-		}
-		*rr = wire.ReadResp{Header: wire.Header{Ack: uint32(m.Seq), Stream: m.Stream},
-			ReqID: m.ReqID, Status: wire.StatusOK, Credits: 1, Length: uint32(len(body))}
-		fillSpan(&rr.Header, &rr.SrvSpan, m.Trace, arr, arr)
-		s.served.Add(1)
-		_ = w.respond(rr, body, mode)
-		s.pool.Put(body)
-		return true
-	}
-	if v.dq != nil {
-		// Miss on a disk-queue volume: the store read rides the SQ without
-		// any shard lock held for the device time. The submit-time check
-		// proves no block in the range carries uncommitted write-behind
-		// bytes (those must come from the cache, via the classic path) and
-		// snapshots the covered shards' write epochs; completion-time
-		// revalidation catches the rare write that lands mid-flight.
-		off := int64(m.Offset)
-		if checkStoreRange(v.store.Size(), off, len(body)) != nil {
-			s.pool.Put(body)
-			return false // classic path owns the error response
-		}
-		var epochs []shardEpoch
-		if v.cache != nil {
-			startBlk := uint64(off / cacheBlockSize)
-			nblocks := int((off+int64(len(body))+cacheBlockSize-1)/cacheBlockSize) - int(startBlk)
-			var ok bool
-			if epochs, ok = v.cache.demandReadCheck(startBlk, nblocks); !ok {
-				s.pool.Put(body)
-				return false
-			}
-		}
-		sc.wg.Add(1)
-		if v.dq.submitDemandRead(sc, m.Seq, m.ReqID, body, off, epochs, m.Trace, arr) {
-			return true
-		}
-		sc.wg.Done()
-		s.pool.Put(body)
-		return false
-	}
-	t := diskTask{sc: sc, kind: taskRead, seq: m.Seq, reqID: m.ReqID, off: int64(m.Offset), body: body}
-	sc.wg.Add(1)
-	if v.pipe.trySubmit(t) {
-		return true
-	}
-	sc.wg.Done()
-	s.pool.Put(body)
-	return false
+	_ = w.send(wr, nil)
 }
 
 // handleFlush serves the wire-level durability barrier: drain the
@@ -1331,19 +1074,20 @@ type DiskStats struct {
 	PrefetchFills         int64 // blocks installed by read-ahead
 	PrefetchHits          int64 // demand hits on those blocks
 	PrefetchDropped       int64 // read-ahead requests dropped (worker busy)
-	// InlineFallbacks counts requests bounced to classic dispatch because
-	// the disk-worker queue was full.
-	InlineFallbacks int64
-	// Disk-queue counters (DiskQ mode): demand reads and write-through
-	// writes completed through the queue, vectored batches submitted,
-	// submissions bounced to the classic path (queue full or closing), and
-	// reads redone classically after a concurrent write bumped a covered
-	// shard's epoch mid-flight.
-	DiskQReads     int64
-	DiskQWrites    int64
+	// DiskQBatches counts vectored multi-op batches submitted to the disk
+	// queues (destage passes, orphan drains, prefetch windows);
+	// DiskQFallbacks counts batch ops a closing queue refused, which their
+	// submitter then ran synchronously.
 	DiskQBatches   int64
 	DiskQFallbacks int64
-	DiskQRetries   int64
+	// Deprecated: demand reads no longer ride the disk queue; always 0.
+	DiskQReads int64
+	// Deprecated: write-through writes no longer ride the disk queue;
+	// always 0.
+	DiskQWrites int64
+	// Deprecated: demand reads are no longer redone after an epoch
+	// change; always 0.
+	DiskQRetries int64
 }
 
 // DiskStats returns cumulative disk-pipeline counters.
@@ -1367,16 +1111,8 @@ func (s *Server) DiskStats() DiskStats {
 		if v.pf != nil {
 			d.PrefetchDropped += v.pf.dropped.Load()
 		}
-		if v.pipe != nil {
-			d.InlineFallbacks += v.pipe.inlineFallbacks.Load()
-		}
-		if v.dq != nil {
-			d.DiskQReads += v.dq.reads.Load()
-			d.DiskQWrites += v.dq.writes.Load()
-			d.DiskQBatches += v.dq.batches.Load()
-			d.DiskQFallbacks += v.dq.fallbacks.Load()
-			d.DiskQRetries += v.dq.retries.Load()
-		}
+		d.DiskQBatches += v.dq.batches.Load()
+		d.DiskQFallbacks += v.dq.fallbacks.Load()
 	}
 	return d
 }
@@ -1401,17 +1137,9 @@ func (v *volume) cachedRead(b []byte, off int64) error {
 	return nil
 }
 
-// readInto fills b from off, through the cache when one exists.
-func (v *volume) readInto(b []byte, off int64) error {
-	if v.cache != nil {
-		return v.cachedRead(b, off)
-	}
-	return v.store.ReadAt(b, off)
-}
-
 // tryCachedRead serves b entirely from resident cache blocks, reporting
-// false (with b possibly partially filled) on any miss — the inline
-// fast path of the pipelined dispatch, which never touches the store.
+// false (with b possibly partially filled) on any miss — the session
+// loop's inline hit path, which never touches the store.
 func (v *volume) tryCachedRead(b []byte, off int64) bool {
 	// checkStoreRange, not a bare off+len comparison: off near MaxInt64
 	// wraps end negative, which sails past `end > size` AND makes the
@@ -1466,23 +1194,18 @@ func (v *volume) absorbWrite(b []byte, off int64) error {
 }
 
 // flush makes all acknowledged writes durable: drain write-behind state,
-// then sync the store. On a write-through disk-queue volume the fsync
-// rides the queue as a drain barrier, sequencing it after every
-// outstanding queued write.
+// then sync the store. The fsync rides the disk queue as a drain
+// barrier, sequencing it after every outstanding queued write.
 func (v *volume) flush() error {
 	if v.wb != nil {
 		return v.wb.flush()
 	}
-	if v.dq != nil {
-		return v.dq.fsyncBarrier()
-	}
-	return v.store.Sync()
+	return v.dq.fsyncBarrier()
 }
 
 // write commits to the store and updates any cached blocks. On a
-// write-behind volume this is the slow synchronous path (worker tasks
-// and high-watermark fallbacks), which must coordinate with the
-// destager rather than write around dirty blocks.
+// write-behind volume this is the high-watermark fallback, which must
+// coordinate with the destager rather than write around dirty blocks.
 func (v *volume) write(b []byte, off int64) error {
 	if v.wb != nil {
 		return v.wb.writeThrough(b, off)

@@ -229,15 +229,15 @@ func TestAblationConfigs(t *testing.T) {
 		{"no-batch", func(c *ServerConfig) { c.NoBatch = true }, true},
 		{"no-shard", func(c *ServerConfig) { c.CacheShards = 1 }, false},
 		{"all-off", func(c *ServerConfig) { c.NoPool = true; c.NoBatch = true; c.CacheShards = 1 }, true},
-		{"disk-workers", func(c *ServerConfig) { c.DiskWorkers = 8 }, false},
+		{"disk-workers", func(c *ServerConfig) { c.SchedWorkers = 8 }, false},
 		{"no-writebehind", func(c *ServerConfig) { c.NoWriteBehind = true }, false},
 		{"no-prefetch", func(c *ServerConfig) { c.NoPrefetch = true }, false},
 		{"disk-sync", func(c *ServerConfig) {
-			c.DiskWorkers = 8
+			c.SchedWorkers = 8
 			c.NoWriteBehind = true
 			c.NoPrefetch = true
 		}, false},
-		{"disk-nobatch", func(c *ServerConfig) { c.DiskWorkers = 8; c.NoBatch = true }, true},
+		{"disk-nobatch", func(c *ServerConfig) { c.SchedWorkers = 8; c.NoBatch = true }, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

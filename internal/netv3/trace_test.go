@@ -1,6 +1,7 @@
 package netv3
 
 import (
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -109,15 +110,15 @@ func TestTraceHandshakeFallback(t *testing.T) {
 
 // The merged cross-tier table must tile: per-stage means column-sum to
 // the caller-measured end-to-end mean over the same traced population.
-// Run against the inline path and the sched+diskq path, the two server
-// dispatch shapes with the most different span plumbing.
+// Run against the default config (scheduler sized to GOMAXPROCS) and an
+// explicit four-worker scheduler, both over a cached volume.
 func TestMergedBreakdownTiles(t *testing.T) {
 	shapes := []struct {
 		name string
 		cfg  ServerConfig
 	}{
 		{"inline", ServerConfig{CacheBlocks: 256}},
-		{"sched-diskq", ServerConfig{SchedWorkers: 4, DiskQ: true, CacheBlocks: 256}},
+		{"sched-diskq", ServerConfig{SchedWorkers: 4, CacheBlocks: 256}},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
@@ -283,5 +284,44 @@ func TestShedCapturesFlightIncident(t *testing.T) {
 	}
 	if !sawShed {
 		t.Fatalf("incident dump has no sched-shed event (%d events)", len(d.Events))
+	}
+}
+
+// A request refused because the scheduler is closed — a session still
+// decoding buffered frames while Close tears the server down — must be
+// answered, but it is a shutdown, not an overload: no shed counted, no
+// sched-shed event, no incident dump.
+func TestShutdownRefusalIsNotShed(t *testing.T) {
+	fl := obs.NewFlight(1024, 2)
+	cfg := DefaultServerConfig()
+	cfg.CacheBlocks = 64
+	cfg.Flight = fl
+	srv, addr := startServer(t, cfg, 1<<20)
+	c, err := Dial(addr, DefaultClientConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	buf := make([]byte, 8192)
+	if err := c.Read(1, 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	// Close only the scheduler, keeping the session live, so the next
+	// miss meets the refusal a shutting-down server hands out.
+	srv.sched.close()
+	err = c.Read(1, 64<<10, buf) // never read: a cache miss
+	if !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("read after scheduler close: got %v, want an ErrOverloaded answer", err)
+	}
+	if n := srv.SchedStats().Shed; n != 0 {
+		t.Fatalf("shutdown refusal counted as %d sheds", n)
+	}
+	if n := fl.Incidents(); n != 0 {
+		t.Fatalf("shutdown refusal captured %d flight incidents", n)
+	}
+	for _, e := range fl.Snapshot() {
+		if e.Name == "sched-shed" {
+			t.Fatal("shutdown refusal recorded a sched-shed event")
+		}
 	}
 }

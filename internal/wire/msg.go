@@ -61,6 +61,12 @@ const (
 	// frame padding that pre-trace peers emit as zeros and never read, so
 	// a zero intersection falls back to untraced frames transparently.
 	FeatureTrace uint32 = 1 << 1
+
+	// FeatureFence: Connect.ClientID is unique to this client and stays
+	// the same across its reconnects, so the server may treat a new
+	// session with that ID as the successor of any live one and finish
+	// the old session's requests before answering the handshake.
+	FeatureFence uint32 = 1 << 2
 )
 
 // Stream QoS classes carried on StreamOpen.

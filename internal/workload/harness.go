@@ -23,7 +23,11 @@ func StartCluster(n int, volSize int64, cfg netv3.ServerConfig) (*Cluster, error
 	c := &Cluster{}
 	for i := 0; i < n; i++ {
 		srv := netv3.NewServer(cfg)
-		srv.AddVolume(1, netv3.NewMemStore(volSize))
+		if err := srv.AddVolume(1, netv3.NewMemStore(volSize)); err != nil {
+			srv.Close()
+			c.Close()
+			return nil, fmt.Errorf("workload: cluster volume: %w", err)
+		}
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			c.Close()
